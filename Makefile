@@ -1,6 +1,6 @@
 # Tier-1 verification flow (see ROADMAP.md): build + vet + tests, plus
-# a one-iteration fleet bench so the benchmark code compiles and runs
-# on every PR, the determinism audit over the robustness matrix, the
+# a two-tenant fleet bench so the benchmark harness runs on every PR,
+# the determinism audit over the robustness matrix, the
 # godoc-coverage check, a sightd serving smoke test and a 2-replica
 # cluster smoke test with a mid-sweep node kill. `make race` adds the
 # concurrency stress pass that covers the multi-tenant scheduler, the
@@ -21,10 +21,14 @@ vet:
 test:
 	$(GO) test ./...
 
-# Compile-and-run every fleet benchmark once — catches bit-rot in the
-# benchmark harness without paying for a real measurement.
+# Fleet benchmark smoke test: two small tenants through the
+# fleet.Scheduler harness of `make fleet-bench`, without the simulated
+# round-trip. Catches bit-rot in the harness without paying for a real
+# measurement, and fails unless every scheduled report is byte-identical
+# to the serial run. The throwaway JSON keeps tier-1 from dirtying the
+# checked-in numbers.
 bench-smoke:
-	$(GO) test -run=NONE -bench=Fleet -benchtime=1x ./internal/fleet/
+	$(GO) run ./cmd/riskbench -tenants 2 -scale small -tenant-rtt 0 -bench-out /tmp/BENCH_fleet_smoke.json
 
 # Determinism audit: run the robustness matrix twice per topology with
 # the event auditor attached and fail on the first divergent event

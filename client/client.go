@@ -548,8 +548,21 @@ func (c *Client) Run(ctx context.Context, req *EstimateRequest, answer AnswerFun
 // reaches a terminal state, then returns its report. A failed job
 // returns its *APIError.
 func (c *Client) Drive(ctx context.Context, id string, answer AnswerFunc) (*Report, error) {
+	return drive(ctx, c, id, answer)
+}
+
+// jobAPI is the part of the estimate API the answer loop needs; both
+// *Client and *Cluster provide it.
+type jobAPI interface {
+	Questions(ctx context.Context, id string) (*QuestionsResponse, error)
+	Answer(ctx context.Context, id string, answers []Answer) (int, error)
+	Get(ctx context.Context, id string) (*EstimateStatus, error)
+}
+
+// drive is the answer loop behind Client.Drive and Cluster.Drive.
+func drive(ctx context.Context, api jobAPI, id string, answer AnswerFunc) (*Report, error) {
 	for {
-		qr, err := c.Questions(ctx, id)
+		qr, err := api.Questions(ctx, id)
 		if err != nil {
 			return nil, err
 		}
@@ -567,11 +580,19 @@ func (c *Client) Drive(ctx context.Context, id string, answer AnswerFunc) (*Repo
 			}
 			answers = append(answers, Answer{Stranger: q.Stranger, Label: lab})
 		}
-		if _, err := c.Answer(ctx, id, answers); err != nil {
+		if _, err := api.Answer(ctx, id, answers); err != nil {
+			// A question stays redelivered until the job takes its
+			// answer, so a redelivered one can be answered after the
+			// job already finished; the server then answers "conflict".
+			// The job is terminal: re-poll for its final status.
+			var apiErr *APIError
+			if errors.As(err, &apiErr) && apiErr.Code == "conflict" {
+				continue
+			}
 			return nil, err
 		}
 	}
-	st, err := c.Get(ctx, id)
+	st, err := api.Get(ctx, id)
 	if err != nil {
 		return nil, err
 	}

@@ -1,24 +1,25 @@
 package main
 
-// Fleet benchmark mode (-tenants N): the multi-tenant scheduler of
-// internal/fleet against the status-quo baseline of running the same
-// owner jobs one after another. Both sides run identical jobs on
-// content-identical studies and their per-owner reports are verified
-// byte-identical (core.DiffRuns), so the comparison is pure
-// throughput: the fleet amortizes annotator round-trips across owners
-// (batched transport) and weight-matrix builds across tenants (shared
-// content-keyed cache), while the serial baseline pays both per run.
+// Fleet benchmark mode (-tenants N): the multi-tenant scheduler that
+// sightd serves from (fleet.Scheduler) against the status-quo baseline
+// of running the same owner jobs one after another. Both sides run
+// identical jobs on content-identical studies, every question pays the
+// same simulated annotator round-trip, and their per-owner reports are
+// verified byte-identical (core.DiffRuns), so the comparison is pure
+// throughput: the scheduler overlaps owners' round-trip waits and
+// shares weight-matrix builds across tenants (one content-keyed
+// cache), while the serial baseline pays both per run.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
 	"sightrisk/internal/active"
-	"sightrisk/internal/cluster"
 	"sightrisk/internal/core"
 	"sightrisk/internal/fleet"
 	"sightrisk/internal/graph"
@@ -31,43 +32,8 @@ import (
 	"sightrisk/internal/synthetic"
 )
 
-// simTransport answers batched label questions from the tenants' own
-// synthetic owners after one simulated network round-trip — the
-// annotators-behind-a-service deployment the batcher exists for.
-type simTransport struct {
-	rtt    time.Duration
-	owners map[string]map[graph.UserID]*synthetic.Owner
-}
-
-func (t *simTransport) add(tenant string, s *synthetic.Study) {
-	m := make(map[graph.UserID]*synthetic.Owner, len(s.Owners))
-	for _, o := range s.Owners {
-		m[o.ID] = o
-	}
-	t.owners[tenant] = m
-}
-
-func (t *simTransport) LabelBatch(ctx context.Context, qs []fleet.Question) ([]label.Label, error) {
-	if t.rtt > 0 {
-		select {
-		case <-time.After(t.rtt):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	out := make([]label.Label, len(qs))
-	for i, q := range qs {
-		o := t.owners[q.Tenant][q.Owner]
-		if o == nil {
-			return nil, fmt.Errorf("unknown owner %d of tenant %q", q.Owner, q.Tenant)
-		}
-		out[i] = o.LabelStranger(q.Stranger)
-	}
-	return out, nil
-}
-
-// rttAnnotator charges the serial baseline the same round-trip latency
-// per question that the fleet's transport charges per batch.
+// rttAnnotator charges each question one simulated round-trip to an
+// annotator behind the network, on both sides of the comparison.
 type rttAnnotator struct {
 	inner active.FallibleAnnotator
 	rtt   time.Duration
@@ -80,6 +46,15 @@ func (a rttAnnotator) LabelStranger(ctx context.Context, s graph.UserID) (label.
 		return 0, ctx.Err()
 	}
 	return a.inner.LabelStranger(ctx, s)
+}
+
+// annotatorFor is owner o's annotator, behind rtt when rtt > 0.
+func annotatorFor(o *synthetic.Owner, rtt time.Duration) active.FallibleAnnotator {
+	var ann active.FallibleAnnotator = active.Infallible(o)
+	if rtt > 0 {
+		ann = rttAnnotator{inner: ann, rtt: rtt}
+	}
+	return ann
 }
 
 type microResult struct {
@@ -95,10 +70,18 @@ type fleetSide struct {
 	OwnersPerSec  float64 `json:"owners_per_sec"`
 	QueriesPerSec float64 `json:"queries_per_sec"`
 
-	CacheEntries    int     `json:"cache_entries,omitempty"`
-	CacheHitRate    float64 `json:"cache_hit_rate,omitempty"`
-	BatchRoundTrips int     `json:"batch_round_trips,omitempty"`
-	BatchMeanSize   float64 `json:"batch_mean_size,omitempty"`
+	CacheEntries int     `json:"cache_entries,omitempty"`
+	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
+}
+
+// tenantLatency is one tenant's job latency under the scheduler,
+// measured from admission to completion (queueing for a worker
+// included), so a starved tenant shows up as a long tail.
+type tenantLatency struct {
+	Tenant    string  `json:"tenant"`
+	Jobs      int     `json:"jobs"`
+	P50Millis float64 `json:"p50_ms"`
+	MaxMillis float64 `json:"max_ms"`
 }
 
 type fleetBenchReport struct {
@@ -109,6 +92,7 @@ type fleetBenchReport struct {
 	Workers         int                    `json:"workers"`
 	RTTMillis       float64                `json:"rtt_ms"`
 	Fleet           fleetSide              `json:"fleet"`
+	TenantLatency   []tenantLatency        `json:"tenant_latency"`
 	Serial          fleetSide              `json:"serial"`
 	Speedup         float64                `json:"speedup_owners_per_sec"`
 	Identical       bool                   `json:"identical_reports"`
@@ -136,60 +120,95 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 		}
 		studies[i] = s
 	}
+	owners := len(studies[0].Owners)
 	fmt.Printf("riskbench: generated %d replicas in %v (%d owners, %d strangers each)\n",
-		nTenants, time.Since(genStart).Round(time.Millisecond),
-		len(studies[0].Owners), studies[0].TotalStrangers())
+		nTenants, time.Since(genStart).Round(time.Millisecond), owners, studies[0].TotalStrangers())
 
-	transport := &simTransport{rtt: rtt, owners: map[string]map[graph.UserID]*synthetic.Owner{}}
-	tenants := make([]fleet.Tenant, nTenants)
-	for i, s := range studies {
-		id := fmt.Sprintf("tenant%02d", i)
-		t := fleet.Tenant{ID: id, Graph: s.Graph, Store: s.Profiles}
-		for _, o := range s.Owners {
-			t.Jobs = append(t.Jobs, fleet.OwnerJob{
-				Owner:      o.ID,
-				Annotator:  active.Infallible(o),
-				Confidence: o.Confidence,
-			})
-		}
-		tenants[i] = t
-		transport.add(id, s)
-	}
-
-	// Fleet job concurrency: jobs spend most of their wall time waiting
+	// Scheduler worker slots: jobs spend most of their wall time waiting
 	// on annotator round-trips, so the scheduler keeps many more jobs in
 	// flight than there are CPUs — CPU parallelism stays bounded by
 	// GOMAXPROCS either way, which keeps the comparison against the
 	// serial baseline at an equal compute budget. An explicit -workers
 	// value caps both sides.
 	fleetWorkers := workers
-	totalJobs := nTenants * len(studies[0].Owners)
+	totalJobs := nTenants * owners
 	if fleetWorkers <= 0 {
 		fleetWorkers = totalJobs
 		if fleetWorkers > 64 {
 			fleetWorkers = 64
 		}
 	}
-	fcfg := fleet.Config{
-		Engine:   core.DefaultConfig(),
-		Workers:  fleetWorkers,
-		Weights:  cluster.NewWeightCache(),
-		MaxBatch: fleetWorkers,
-	}
-	if rtt > 0 {
-		fcfg.Transport = transport
-	}
-	res, err := fleet.Run(context.Background(), fcfg, tenants)
+	sched, err := fleet.NewScheduler(fleet.SchedulerConfig{Engine: core.DefaultConfig(), Workers: fleetWorkers})
 	if err != nil {
 		return err
 	}
-	for _, tr := range res.Tenants {
-		for ji, e := range tr.Errs {
-			if e != nil {
-				return fmt.Errorf("fleet: tenant %s job %d: %w", tr.ID, ji, e)
+	defer sched.Close()
+
+	// Every job is admitted up front and runs in its own goroutine, the
+	// way sightd launches a submitted estimate. Admissions interleave
+	// the tenants (job 0 of every tenant, then job 1, ...) — tenants
+	// submitting concurrently — so queueing for a worker slot is shared
+	// evenly and the per-tenant latencies show whether any tenant
+	// starves.
+	ids := make([]string, nTenants)
+	snaps := make([]*graph.Snapshot, nTenants)
+	for ti, s := range studies {
+		ids[ti] = fmt.Sprintf("tenant%02d", ti)
+		snaps[ti] = s.Graph.Snapshot()
+	}
+	fleetRuns := make([][]*core.OwnerRun, nTenants)
+	latencies := make([][]float64, nTenants)
+	errs := make([][]error, nTenants)
+	for ti := range studies {
+		fleetRuns[ti] = make([]*core.OwnerRun, owners)
+		latencies[ti] = make([]float64, owners)
+		errs[ti] = make([]error, owners)
+	}
+	var wg sync.WaitGroup
+	fleetStart := time.Now()
+	for ji := 0; ji < owners; ji++ {
+		for ti, s := range studies {
+			adm, err := sched.Admit(ids[ti])
+			if err != nil {
+				return err
 			}
+			start := time.Now()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				o := s.Owners[ji]
+				fleetRuns[ti][ji], errs[ti][ji] = adm.Run(context.Background(), fleet.Job{
+					Graph:      s.Graph,
+					Store:      s.Profiles,
+					Snapshot:   snaps[ti],
+					Owner:      o.ID,
+					Annotator:  annotatorFor(o, rtt),
+					Confidence: o.Confidence,
+				})
+				latencies[ti][ji] = float64(time.Since(start)) / float64(time.Millisecond)
+			}()
 		}
 	}
+	wg.Wait()
+	fleetElapsed := time.Since(fleetStart)
+	fleetQueries := 0
+	tenantLat := make([]tenantLatency, nTenants)
+	for ti := range fleetRuns {
+		for ji, run := range fleetRuns[ti] {
+			if err := errs[ti][ji]; err != nil {
+				return fmt.Errorf("fleet: tenant %s job %d: %w", ids[ti], ji, err)
+			}
+			fleetQueries += run.QueriedCount()
+		}
+		tl := tenantLatency{Tenant: ids[ti], Jobs: owners, P50Millis: stats.Median(latencies[ti])}
+		for _, ms := range latencies[ti] {
+			if ms > tl.MaxMillis {
+				tl.MaxMillis = ms
+			}
+		}
+		tenantLat[ti] = tl
+	}
+	cache := sched.Stats().Cache
 
 	// Serial baseline: the same jobs one after another, each single run
 	// getting the full worker budget and each question paying its own
@@ -202,13 +221,9 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 	serialQueries := 0
 	serialStart := time.Now()
 	for ti, s := range studies {
-		serialRuns[ti] = make([]*core.OwnerRun, len(s.Owners))
+		serialRuns[ti] = make([]*core.OwnerRun, owners)
 		for ji, o := range s.Owners {
-			var ann active.FallibleAnnotator = active.Infallible(o)
-			if rtt > 0 {
-				ann = rttAnnotator{inner: ann, rtt: rtt}
-			}
-			run, err := engine.RunOwner(context.Background(), s.Graph, s.Profiles, o.ID, ann, o.Confidence)
+			run, err := engine.RunOwner(context.Background(), s.Graph, s.Profiles, o.ID, annotatorFor(o, rtt), o.Confidence)
 			if err != nil {
 				return fmt.Errorf("serial baseline: tenant %d owner %d: %w", ti, o.ID, err)
 			}
@@ -221,7 +236,7 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 	identical := true
 	for ti := range serialRuns {
 		for ji, want := range serialRuns[ti] {
-			if d := core.DiffRuns(res.Tenants[ti].Runs[ji], want); d != "" {
+			if d := core.DiffRuns(fleetRuns[ti][ji], want); d != "" {
 				identical = false
 				fmt.Fprintf(os.Stderr, "riskbench: fleet output differs from serial for tenant %d owner %d: %s\n",
 					ti, want.Owner, d)
@@ -229,32 +244,37 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 		}
 	}
 
-	serialOwners := nTenants * len(studies[0].Owners)
-	serialOPS := float64(serialOwners) / serialElapsed.Seconds()
-	serialQPS := float64(serialQueries) / serialElapsed.Seconds()
-	speedup := res.Stats.OwnersPerSec() / serialOPS
+	perSec := func(n int, d time.Duration) float64 { return float64(n) / d.Seconds() }
+	fleetOPS, fleetQPS := perSec(totalJobs, fleetElapsed), perSec(fleetQueries, fleetElapsed)
+	serialOPS, serialQPS := perSec(totalJobs, serialElapsed), perSec(serialQueries, serialElapsed)
+	speedup := fleetOPS / serialOPS
 
-	t := stats.NewTable("Fleet throughput — multi-tenant scheduler vs sequential single-owner runs (identical per-owner reports)",
-		"mode", "owners", "queries", "elapsed", "owners/sec", "queries/sec", "cache hits", "round-trips")
+	t := stats.NewTable("Fleet throughput — fleet.Scheduler vs sequential single-owner runs (identical per-owner reports)",
+		"mode", "owners", "queries", "elapsed", "owners/sec", "queries/sec", "cache hits")
 	t.AddRow("fleet",
-		fmt.Sprintf("%d", res.Stats.Owners),
-		fmt.Sprintf("%d", res.Stats.Queries),
-		res.Stats.Elapsed.Round(time.Millisecond).String(),
-		fmt.Sprintf("%.2f", res.Stats.OwnersPerSec()),
-		fmt.Sprintf("%.1f", res.Stats.QueriesPerSec()),
-		stats.Pct(res.Stats.Cache.HitRate()),
-		fmt.Sprintf("%d", res.Stats.Batch.RoundTrips))
+		fmt.Sprintf("%d", totalJobs),
+		fmt.Sprintf("%d", fleetQueries),
+		fleetElapsed.Round(time.Millisecond).String(),
+		fmt.Sprintf("%.2f", fleetOPS),
+		fmt.Sprintf("%.1f", fleetQPS),
+		stats.Pct(cache.HitRate()))
 	t.AddRow("serial",
-		fmt.Sprintf("%d", serialOwners),
+		fmt.Sprintf("%d", totalJobs),
 		fmt.Sprintf("%d", serialQueries),
 		serialElapsed.Round(time.Millisecond).String(),
 		fmt.Sprintf("%.2f", serialOPS),
 		fmt.Sprintf("%.1f", serialQPS),
-		"-",
-		fmt.Sprintf("%d", serialQueries))
+		"-")
 	fmt.Println(t)
-	fmt.Printf("fleet speedup: %.2fx owners/sec  (batch mean %.1f questions/round-trip, cache %d entries, identical reports: %v)\n\n",
-		speedup, res.Stats.Batch.MeanBatchSize(), res.Stats.Cache.Entries, identical)
+	lt := stats.NewTable("Fleet job latency per tenant — admission to completion",
+		"tenant", "jobs", "p50", "max")
+	for _, tl := range tenantLat {
+		lt.AddRow(tl.Tenant, fmt.Sprintf("%d", tl.Jobs),
+			fmt.Sprintf("%.0fms", tl.P50Millis), fmt.Sprintf("%.0fms", tl.MaxMillis))
+	}
+	fmt.Println(lt)
+	fmt.Printf("fleet speedup: %.2fx owners/sec  (%d scheduler workers, cache %d entries, identical reports: %v)\n\n",
+		speedup, fleetWorkers, cache.Entries, identical)
 
 	fmt.Println("riskbench: micro-benchmarks (reference vs optimized hot paths)...")
 	micro := microBenches(seed)
@@ -268,23 +288,21 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 		Scale:           scale,
 		Seed:            seed,
 		Tenants:         nTenants,
-		OwnersPerTenant: len(studies[0].Owners),
+		OwnersPerTenant: owners,
 		Workers:         resolved,
 		RTTMillis:       float64(rtt) / float64(time.Millisecond),
 		Fleet: fleetSide{
-			Owners:        res.Stats.Owners,
-			Queries:       res.Stats.Queries,
-			ElapsedMillis: float64(res.Stats.Elapsed) / float64(time.Millisecond),
-			OwnersPerSec:  res.Stats.OwnersPerSec(),
-			QueriesPerSec: res.Stats.QueriesPerSec(),
-
-			CacheEntries:    res.Stats.Cache.Entries,
-			CacheHitRate:    res.Stats.Cache.HitRate(),
-			BatchRoundTrips: res.Stats.Batch.RoundTrips,
-			BatchMeanSize:   res.Stats.Batch.MeanBatchSize(),
+			Owners:        totalJobs,
+			Queries:       fleetQueries,
+			ElapsedMillis: float64(fleetElapsed) / float64(time.Millisecond),
+			OwnersPerSec:  fleetOPS,
+			QueriesPerSec: fleetQPS,
+			CacheEntries:  cache.Entries,
+			CacheHitRate:  cache.HitRate(),
 		},
+		TenantLatency: tenantLat,
 		Serial: fleetSide{
-			Owners:        serialOwners,
+			Owners:        totalJobs,
 			Queries:       serialQueries,
 			ElapsedMillis: float64(serialElapsed) / float64(time.Millisecond),
 			OwnersPerSec:  serialOPS,

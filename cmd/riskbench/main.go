@@ -12,10 +12,12 @@
 //
 // With -tenants N the command switches to fleet-benchmark mode: it
 // replicates the study for N tenants, runs every owner through the
-// multi-tenant scheduler (internal/fleet) with a shared weight cache
-// and batched annotator transport, then re-runs the same jobs
-// sequentially, verifies the per-owner reports are byte-identical, and
-// writes throughput plus micro-benchmark numbers to BENCH_fleet.json.
+// multi-tenant scheduler sightd serves from (fleet.Scheduler, one
+// shared weight cache, every question paying a simulated annotator
+// round-trip), then re-runs the same jobs sequentially, verifies the
+// per-owner reports are byte-identical, and writes throughput,
+// per-tenant job latency and micro-benchmark numbers to
+// BENCH_fleet.json.
 //
 // With -serve-rtt it benchmarks the serving layer instead: an
 // in-process sightd (internal/server) serves every owner over the
@@ -110,7 +112,7 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 7, "fault-injection seed")
 	faultRetries := flag.Int("fault-retries", 10, "retry attempts configured when -fault-prob is set")
 	tenants := flag.Int("tenants", 0, "fleet mode: run N tenant replicas through the multi-tenant scheduler and compare against sequential single-owner runs (skips the experiment steps)")
-	tenantRTT := flag.Duration("tenant-rtt", 20*time.Millisecond, "fleet mode: simulated annotator round-trip latency (the fleet batches questions across owners into one round-trip; the serial baseline pays it per question); 0 disables the transport")
+	tenantRTT := flag.Duration("tenant-rtt", 20*time.Millisecond, "fleet mode: simulated annotator round-trip latency every question pays, on both the scheduler and the serial baseline; 0 disables it")
 	benchOut := flag.String("bench-out", "BENCH_fleet.json", "fleet mode: where to write the throughput trajectory JSON")
 	traceOut := flag.String("trace-out", "", "write the structured run-event stream (JSONL, one event per line) to this file")
 	metricsOut := flag.String("metrics-out", "", "write the per-stage metrics snapshot (JSON) to this file at exit")

@@ -1,3 +1,31 @@
+// Package fleet schedules the risk pipeline for a fleet of owners —
+// many tenants, each bringing their own social graph and owner jobs —
+// over one shared worker budget. It is the scheduler sightd serves
+// from: the paper's deployment target is an OSN-scale service where
+// owners request risk estimates one at a time, so jobs arrive
+// incrementally, share compute under per-tenant limits, and reuse
+// whatever is content-identical across tenants.
+//
+// A Scheduler provides:
+//
+//   - Per-tenant admission control. Admit checks the tenant's
+//     TenantLimits — concurrently admitted jobs (MaxActive) and the
+//     owner-label spend of its finished jobs (MaxQueries) — and
+//     rejects over-budget work synchronously, before anything queues.
+//
+//   - One shared worker budget. Admission.Run waits for one of
+//     SchedulerConfig.Workers slots under the job's own context, so a
+//     tenant holds at most as many workers as it has admitted jobs.
+//
+//   - A shared cache. All jobs share one content-keyed weight-matrix
+//     cache (cluster.WeightCache), so identical pool content across
+//     owners, tenants and repeat runs is computed once.
+//
+// Per-job output is byte-identical to a standalone serial core.Engine
+// run: every job runs the engine's exact serial path (Workers = 1);
+// scheduler parallelism comes only from running independent jobs
+// concurrently, and nothing a job observes — pool order, RNG streams,
+// answer values — depends on the other jobs.
 package fleet
 
 import (
@@ -14,13 +42,11 @@ import (
 	"sightrisk/internal/profile"
 )
 
-// Scheduler is the long-lived, incremental counterpart of Run: where
-// Run executes a fixed batch of tenants' jobs and returns, a Scheduler
-// accepts jobs one at a time — the arrival pattern of a serving layer
-// — while preserving the fleet invariants: one shared worker budget
-// across all tenants, per-tenant admission control, one shared
-// content-keyed weight cache, and the exact serial engine path per job
-// so every job's output is byte-identical to a standalone run.
+// Scheduler runs owner jobs as they arrive — the arrival pattern of a
+// serving layer — over one shared worker budget across all tenants,
+// with per-tenant admission control, one shared content-keyed weight
+// cache, and the exact serial engine path per job so every job's
+// output is byte-identical to a standalone run.
 //
 // The flow is two-phase so a front end can reject over-budget work
 // synchronously (HTTP 429) before queueing anything: Admit reserves a
@@ -52,19 +78,25 @@ type schedTenant struct {
 type TenantLimits struct {
 	// MaxActive caps the tenant's admitted-but-unreleased jobs
 	// (queued plus running). Admissions beyond it fail with
-	// ErrOverBudget (reason SkipActive) until a job finishes.
+	// *OverBudgetError (reason SkipActive) until a job finishes.
 	MaxActive int
 	// MaxQueries caps the total owner-label queries spent by the
-	// tenant's finished jobs, the same resource Budget.MaxQueries
-	// meters in batch runs. Once crossed, further admissions fail with
-	// ErrOverBudget (reason SkipQueries).
+	// tenant's finished jobs. Once crossed, further admissions fail
+	// with *OverBudgetError (reason SkipQueries).
 	MaxQueries int
 }
 
-// SkipActive reports a job rejected because the tenant is already at
-// its concurrent-admission limit (Scheduler admission only; batch runs
-// have no equivalent, they own the whole job set).
-const SkipActive SkipReason = "active-limit"
+// SkipReason says which tenant limit rejected an admission.
+type SkipReason string
+
+const (
+	// SkipQueries: the tenant's finished jobs spent
+	// TenantLimits.MaxQueries.
+	SkipQueries SkipReason = "query-budget"
+	// SkipActive: the tenant is already at TenantLimits.MaxActive
+	// admitted jobs.
+	SkipActive SkipReason = "active-limit"
+)
 
 // OverBudgetError reports an admission rejected by a tenant limit.
 // RetryAfter is the front end's backoff hint: concurrency rejections
@@ -87,7 +119,8 @@ func (e *OverBudgetError) Error() string {
 // SchedulerConfig parameterizes NewScheduler.
 type SchedulerConfig struct {
 	// Engine is the default per-job pipeline configuration. Workers is
-	// ignored: every job runs the exact serial path (see Config.Engine).
+	// ignored: every job runs the exact serial path so its output is
+	// byte-identical to a standalone run.
 	Engine core.Config
 	// Workers bounds how many jobs run concurrently across all tenants.
 	// 0 means runtime.GOMAXPROCS(0).

@@ -3,6 +3,8 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -10,8 +12,58 @@ import (
 	"sightrisk/internal/active"
 	"sightrisk/internal/core"
 	"sightrisk/internal/graph"
+	"sightrisk/internal/graph/snapfile"
 	"sightrisk/internal/label"
+	"sightrisk/internal/obs"
+	"sightrisk/internal/synthetic"
 )
+
+// fleetStudy generates a deterministic small study. Distinct calls
+// with the same seed yield content-identical but structurally separate
+// studies — the tenant-replica pattern (owner annotators memoize and
+// are not thread-safe, so tenants never share Owner structs).
+func fleetStudy(t testing.TB, owners, strangers int, seed int64) *synthetic.Study {
+	t.Helper()
+	cfg := synthetic.SmallStudyConfig()
+	cfg.Owners = owners
+	cfg.Ego.Strangers = strangers
+	cfg.Seed = seed
+	s, err := synthetic.GenerateStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// diffRuns compares the observable content of two owner runs via the
+// engine's exported NaN-aware comparator, plus the Partial flag that
+// marks interrupted runs.
+func diffRuns(a, b *core.OwnerRun) string {
+	if a == nil || b == nil {
+		return fmt.Sprintf("nil run: %v vs %v", a == nil, b == nil)
+	}
+	if a.Partial != b.Partial {
+		return "partial flag mismatch"
+	}
+	return core.DiffRuns(a, b)
+}
+
+// serialBaseline runs every owner standalone on the engine's serial
+// path — the reference the scheduler must reproduce byte for byte.
+func serialBaseline(t testing.TB, s *synthetic.Study) map[graph.UserID]*core.OwnerRun {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.Workers = 1
+	out := make(map[graph.UserID]*core.OwnerRun, len(s.Owners))
+	for _, o := range s.Owners {
+		run, err := core.New(cfg).RunOwner(context.Background(), s.Graph, s.Profiles, o.ID, active.Infallible(o), o.Confidence)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[o.ID] = run
+	}
+	return out
+}
 
 func newTestScheduler(t *testing.T, workers int) *Scheduler {
 	t.Helper()
@@ -22,51 +74,63 @@ func newTestScheduler(t *testing.T, workers int) *Scheduler {
 	return s
 }
 
-// TestSchedulerMatchesSerial: every run out of the incremental
-// scheduler — jobs admitted one at a time, executed concurrently — is
-// identical to its standalone serial run, same as the batch fleet.
+// jobsOf returns one job per study owner, answered by the owner's own
+// synthetic annotator over the study's live graph.
+func jobsOf(study *synthetic.Study) []Job {
+	jobs := make([]Job, len(study.Owners))
+	for i, o := range study.Owners {
+		jobs[i] = Job{
+			Graph: study.Graph, Store: study.Profiles,
+			Owner: o.ID, Annotator: active.Infallible(o), Confidence: o.Confidence,
+		}
+	}
+	return jobs
+}
+
+// runAll admits every job for tenant up front and runs each in its own
+// goroutine — the way sightd launches submitted estimates — returning
+// the runs and errors in job order.
+func runAll(ctx context.Context, t *testing.T, s *Scheduler, tenant string, jobs []Job) ([]*core.OwnerRun, []error) {
+	t.Helper()
+	runs := make([]*core.OwnerRun, len(jobs))
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, job := range jobs {
+		adm, err := s.Admit(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i], errs[i] = adm.Run(ctx, job)
+		}()
+	}
+	wg.Wait()
+	return runs, errs
+}
+
+// TestSchedulerMatchesSerial: every run out of the scheduler — jobs
+// admitted one at a time, executed concurrently — is identical to its
+// standalone serial run.
 func TestSchedulerMatchesSerial(t *testing.T) {
 	study := fleetStudy(t, 3, 120, 11)
 	want := serialBaseline(t, study)
 	s := newTestScheduler(t, 4)
 	defer s.Close()
 
+	jobs := jobsOf(study)
 	snap := study.Graph.Snapshot()
-	var (
-		wg  sync.WaitGroup
-		mu  sync.Mutex
-		got = make(map[graph.UserID]*core.OwnerRun)
-	)
-	for _, o := range study.Owners {
-		adm, err := s.Admit("tenant-a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		o := o
-		go func() {
-			defer wg.Done()
-			run, err := adm.Run(context.Background(), Job{
-				Graph:      study.Graph,
-				Store:      study.Profiles,
-				Snapshot:   snap,
-				Owner:      o.ID,
-				Annotator:  active.Infallible(o),
-				Confidence: o.Confidence,
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			got[o.ID] = run
-			mu.Unlock()
-		}()
+	for i := range jobs {
+		jobs[i].Snapshot = snap
 	}
-	wg.Wait()
-	for id, ref := range want {
-		if d := diffRuns(ref, got[id]); d != "" {
-			t.Errorf("owner %d diverged from serial baseline: %s", id, d)
+	runs, errs := runAll(context.Background(), t, s, "tenant-a", jobs)
+	for i, run := range runs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if d := diffRuns(want[jobs[i].Owner], run); d != "" {
+			t.Errorf("owner %d diverged from serial baseline: %s", jobs[i].Owner, d)
 		}
 	}
 	st := s.Stats()
@@ -151,6 +215,45 @@ func TestSchedulerQueryBudget(t *testing.T) {
 	}
 	if usage := s.Stats().Tenants["t"]; usage.Queries != run.QueriedCount() {
 		t.Errorf("accounted queries = %d, want %d", usage.Queries, run.QueriedCount())
+	}
+}
+
+// TestFleetQueryBudget: two tenants share one scheduler; the budgeted
+// tenant runs its first job, then every later job is refused with
+// SkipQueries, while the unbudgeted tenant runs all of its jobs.
+func TestFleetQueryBudget(t *testing.T) {
+	s := newTestScheduler(t, 4)
+	defer s.Close()
+	s.Limit("budgeted", TenantLimits{MaxQueries: 1}) // first finished job exceeds this
+
+	budgeted := jobsOf(fleetStudy(t, 3, 80, 5))
+	adm, err := s.Admit("budgeted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := adm.Run(context.Background(), budgeted[0])
+	if err != nil {
+		t.Fatalf("budgeted job 0 should run: %v", err)
+	}
+	if first.QueriedCount() <= 1 {
+		t.Fatalf("budgeted tenant spent %d queries, expected > 1 from job 0", first.QueriedCount())
+	}
+	for ji := 1; ji < len(budgeted); ji++ {
+		_, err := s.Admit("budgeted")
+		var over *OverBudgetError
+		if !errors.As(err, &over) || over.Reason != SkipQueries {
+			t.Fatalf("budgeted job %d: Admit = %v, want SkipQueries", ji, err)
+		}
+	}
+
+	runs, errs := runAll(context.Background(), t, s, "free", jobsOf(fleetStudy(t, 3, 80, 5)))
+	for ji := range runs {
+		if runs[ji] == nil || errs[ji] != nil {
+			t.Fatalf("free tenant job %d did not run: %v", ji, errs[ji])
+		}
+	}
+	if q := s.Stats().Tenants["budgeted"].Queries; q != first.QueriedCount() {
+		t.Errorf("budgeted tenant accounted %d queries, want %d", q, first.QueriedCount())
 	}
 }
 
@@ -245,5 +348,247 @@ func TestSchedulerConfigureCannotBreakSerialPath(t *testing.T) {
 	}
 	if d := diffRuns(want[o.ID], run); d != "" {
 		t.Errorf("run diverged from serial baseline: %s", d)
+	}
+}
+
+// TestFleetMatchesSerial: two content-identical tenants on one
+// scheduler both reproduce the serial baseline, and the shared weight
+// cache serves the second tenant's pools from the first's builds.
+func TestFleetMatchesSerial(t *testing.T) {
+	want := serialBaseline(t, fleetStudy(t, 3, 150, 7))
+	s := newTestScheduler(t, 4)
+	defer s.Close()
+	for _, tenant := range []string{"t0", "t1"} {
+		jobs := jobsOf(fleetStudy(t, 3, 150, 7))
+		runs, errs := runAll(context.Background(), t, s, tenant, jobs)
+		for i, run := range runs {
+			if errs[i] != nil {
+				t.Fatalf("tenant %s job %d: %v", tenant, i, errs[i])
+			}
+			if d := diffRuns(run, want[run.Owner]); d != "" {
+				t.Fatalf("tenant %s owner %d differs from serial: %s", tenant, run.Owner, d)
+			}
+		}
+	}
+	st := s.Stats()
+	if st.Completed != 6 || st.Tenants["t0"].Queries == 0 || st.Tenants["t1"].Queries != st.Tenants["t0"].Queries {
+		t.Fatalf("stats = %+v", st)
+	}
+	if st.Cache.Hits == 0 {
+		t.Fatalf("cache never hit across identical tenants: %+v", st.Cache)
+	}
+}
+
+// TestFleetSnapshotOnlyTenant: a job backed purely by an mmap'd
+// snapshot file (nil Graph) produces runs byte-identical to the same
+// owner's run over the live graph.
+func TestFleetSnapshotOnlyTenant(t *testing.T) {
+	want := serialBaseline(t, fleetStudy(t, 2, 100, 11))
+
+	study := fleetStudy(t, 2, 100, 11)
+	snap := study.Graph.Snapshot()
+	table, err := snapfile.TableFromStore(snap.Nodes(), study.Profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tenant.snap")
+	if err := snapfile.Create(path, snapfile.Contents{Snapshot: snap, Profiles: table}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := snapfile.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	jobs := jobsOf(study)
+	for i := range jobs {
+		jobs[i].Graph, jobs[i].Snapshot, jobs[i].Store = nil, f.Snapshot(), f.Profiles().Store()
+	}
+	s := newTestScheduler(t, 2)
+	defer s.Close()
+	runs, errs := runAll(context.Background(), t, s, "mmap", jobs)
+	for i, run := range runs {
+		if errs[i] != nil {
+			t.Fatalf("job %d: %v", i, errs[i])
+		}
+		if d := diffRuns(run, want[run.Owner]); d != "" {
+			t.Fatalf("owner %d differs from serial graph-backed run: %s", run.Owner, d)
+		}
+	}
+
+	// A nil-graph job with a custom NetworkSim is rejected: that
+	// similarity walks a live *graph.Graph.
+	ecfg := core.DefaultConfig()
+	ecfg.Pool.NetworkSim = func(g *graph.Graph, o, u graph.UserID) float64 { return 0 }
+	bad, err := NewScheduler(SchedulerConfig{Engine: ecfg, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	adm, err := bad.Admit("mmap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := adm.Run(context.Background(), jobs[0]); err == nil {
+		t.Fatal("nil-graph job with custom NetworkSim accepted")
+	}
+}
+
+// TestFleetConcurrentStress drives six tenants with mixed limits
+// through one scheduler, one shared cache and fewer workers than jobs —
+// the -race target for admission accounting. Each tenant retries
+// concurrency rejections and stops at its query budget, the way a
+// client honoring 429s does; every job that runs must still match the
+// serial baseline.
+func TestFleetConcurrentStress(t *testing.T) {
+	want := serialBaseline(t, fleetStudy(t, 2, 60, 9))
+	s := newTestScheduler(t, 3)
+	defer s.Close()
+	limits := []TenantLimits{
+		{},
+		{MaxQueries: 3},
+		{MaxActive: 1},
+		{MaxActive: 1, MaxQueries: 3},
+		{MaxActive: 2},
+		{MaxActive: 2, MaxQueries: 1 << 20},
+	}
+	type outcome struct {
+		run     *core.OwnerRun
+		err     error
+		skipped bool
+	}
+	outcomes := make([][]outcome, len(limits))
+	var wg sync.WaitGroup
+	for ti, lim := range limits {
+		tenant := fmt.Sprintf("t%d", ti)
+		s.Limit(tenant, lim)
+		jobs := jobsOf(fleetStudy(t, 2, 60, 9))
+		outcomes[ti] = make([]outcome, len(jobs))
+		for ji, job := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out := &outcomes[ti][ji]
+				for {
+					adm, err := s.Admit(tenant)
+					var over *OverBudgetError
+					switch {
+					case errors.As(err, &over) && over.Reason == SkipActive:
+						time.Sleep(time.Millisecond)
+						continue
+					case errors.As(err, &over) && over.Reason == SkipQueries:
+						out.skipped = true
+					case err != nil:
+						out.err = err
+					default:
+						out.run, out.err = adm.Run(context.Background(), job)
+					}
+					return
+				}
+			}()
+		}
+	}
+	wg.Wait()
+
+	st := s.Stats()
+	completed := 0
+	for ti, outs := range outcomes {
+		tenant := fmt.Sprintf("t%d", ti)
+		queries := 0
+		for ji, out := range outs {
+			switch {
+			case out.err != nil:
+				t.Errorf("tenant %s job %d: %v", tenant, ji, out.err)
+			case out.skipped:
+				if limits[ti].MaxQueries == 0 {
+					t.Errorf("tenant %s job %d skipped without a query budget", tenant, ji)
+				}
+			default:
+				if d := diffRuns(out.run, want[out.run.Owner]); d != "" {
+					t.Errorf("tenant %s owner %d differs from serial: %s", tenant, out.run.Owner, d)
+				}
+				queries += out.run.QueriedCount()
+				completed++
+			}
+		}
+		if got := st.Tenants[tenant].Queries; got != queries {
+			t.Errorf("tenant %s accounted %d queries, its runs spent %d", tenant, got, queries)
+		}
+	}
+	// t3 runs one job at a time, so its second admission sees the
+	// first job's spend — more than the whole budget.
+	if !outcomes[3][1].skipped && !outcomes[3][0].skipped {
+		t.Errorf("serialized query-budgeted tenant ran both jobs: %+v", st.Tenants["t3"])
+	}
+	if st.Active != 0 || st.Completed != completed {
+		t.Errorf("stats after drain = %+v, want 0 active and %d completed", st, completed)
+	}
+}
+
+// TestFleetObservability: a per-job observer installed through
+// Job.Configure sees the job's whole run, and every event carries the
+// job's tenant and owner — so per-job traces out of a shared scheduler
+// stay attributable.
+func TestFleetObservability(t *testing.T) {
+	s := newTestScheduler(t, 4)
+	defer s.Close()
+	metrics := &obs.Metrics{}
+	type traced struct {
+		tenant string
+		owner  graph.UserID
+		ring   *obs.Ring
+	}
+	var all []traced
+	for _, tenant := range []string{"t0", "t1"} {
+		jobs := jobsOf(fleetStudy(t, 3, 120, 7))
+		for i := range jobs {
+			ring := obs.NewRing(1 << 13)
+			all = append(all, traced{tenant, jobs[i].Owner, ring})
+			jobs[i].Configure = func(c *core.Config) {
+				c.Observer = ring
+				c.Metrics = metrics
+			}
+		}
+		if _, errs := runAll(context.Background(), t, s, tenant, jobs); errors.Join(errs...) != nil {
+			t.Fatal(errors.Join(errs...))
+		}
+	}
+	for _, tr := range all {
+		if tr.ring.Dropped() != 0 {
+			t.Fatalf("tenant %s owner %d: ring dropped %d events", tr.tenant, tr.owner, tr.ring.Dropped())
+		}
+		events := tr.ring.Events()
+		if len(events) < 2 || events[0].Kind != obs.KindRunStart || events[len(events)-1].Kind != obs.KindRunEnd {
+			t.Fatalf("tenant %s owner %d: trace is not one run.start..run.end block (%d events)", tr.tenant, tr.owner, len(events))
+		}
+		for _, ev := range events {
+			if ev.Tenant != tr.tenant || ev.Owner != int64(tr.owner) {
+				t.Fatalf("tenant %s owner %d: event attributed to (%q, %d): %+v", tr.tenant, tr.owner, ev.Tenant, ev.Owner, ev)
+			}
+		}
+	}
+	if got := metrics.Runs.Load(); got != uint64(len(all)) {
+		t.Fatalf("Metrics.Runs = %d, want %d", got, len(all))
+	}
+}
+
+// TestFleetCancellation: jobs whose context is canceled before they
+// start either fail while queued or degrade into partial runs — never
+// a complete run, never a hang — and release their admissions.
+func TestFleetCancellation(t *testing.T) {
+	s := newTestScheduler(t, 2)
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	jobs := append(jobsOf(fleetStudy(t, 4, 120, 2)), jobsOf(fleetStudy(t, 4, 120, 2))...)
+	runs, errs := runAll(ctx, t, s, "a", jobs)
+	for i, run := range runs {
+		if errs[i] == nil && !run.Partial {
+			t.Fatalf("job %d: complete run under canceled ctx", i)
+		}
+	}
+	if st := s.Stats(); st.Active != 0 {
+		t.Fatalf("Active = %d after cancellation, want 0", st.Active)
 	}
 }

@@ -135,7 +135,17 @@ func TestRestartResumeMatchesSerial(t *testing.T) {
 	hsA.Close()
 
 	// --- second server over the same state dir: resume and finish ---
-	_, _, cB := newTestServer(t, mkConfig())
+	srvB, _, cB := newTestServer(t, mkConfig())
+	// The job turns "done" before its final record is written, so
+	// Drive can return while the job goroutine still writes to the
+	// state dir. Drain before the state dir is removed.
+	t.Cleanup(func() {
+		drainCtx, drainCancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer drainCancel()
+		if err := srvB.Drain(drainCtx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
 	got, err := cB.Get(ctx, st.ID)
 	if err != nil {
 		t.Fatalf("job not recovered after restart: %v", err)
