@@ -1,6 +1,7 @@
 # Tier-1 verification flow (see ROADMAP.md): build + vet + tests, plus
 # a two-tenant fleet bench so the benchmark harness runs on every PR,
-# the determinism audit over the robustness matrix, the
+# the checked-in paper tables, the determinism audit over the
+# robustness matrix, the
 # godoc-coverage check, a sightd serving smoke test and a 2-replica
 # cluster smoke test with a mid-sweep node kill. `make race` adds the
 # concurrency stress pass that covers the multi-tenant scheduler, the
@@ -8,9 +9,9 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet test bench-smoke audit docs serve-smoke scale-smoke cluster-smoke incremental-smoke advise-smoke stats-smoke race fuzz bench fleet-bench serve-bench scale-bench cluster-bench incremental-bench advise-bench ldp-bench
+.PHONY: tier1 build vet test bench-smoke tables audit docs serve-smoke scale-smoke cluster-smoke incremental-smoke advise-smoke stats-smoke race fuzz bench fleet-bench serve-bench scale-bench cluster-bench incremental-bench advise-bench ldp-bench
 
-tier1: build vet test bench-smoke audit docs serve-smoke scale-smoke cluster-smoke incremental-smoke advise-smoke stats-smoke
+tier1: build vet test bench-smoke tables audit docs serve-smoke scale-smoke cluster-smoke incremental-smoke advise-smoke stats-smoke
 
 build:
 	$(GO) build ./...
@@ -29,6 +30,13 @@ test:
 # checked-in numbers.
 bench-smoke:
 	$(GO) run ./cmd/riskbench -tenants 2 -scale small -tenant-rtt 0 -bench-out /tmp/BENCH_fleet_smoke.json
+
+# Paper tables: regenerate the headline and ablation tables and fail
+# unless they match the checked-in ablation_results.txt byte for byte
+# (stage timings off, so the output is deterministic). About 20 s.
+tables:
+	$(GO) run ./cmd/riskbench -ablations -only headline -times=false > /tmp/ablation_results_check.txt
+	diff /tmp/ablation_results_check.txt ablation_results.txt
 
 # Determinism audit: run the robustness matrix twice per topology with
 # the event auditor attached and fail on the first divergent event
@@ -96,10 +104,12 @@ stats-smoke:
 race:
 	$(GO) test -race ./...
 
-# Snapshot-decoder fuzzing: run the corruption fuzzer for a short
-# bounded burst (longer runs: raise -fuzztime).
+# Decoder fuzzing: run the snapshot-file corruption fuzzer and the
+# /v1/updates body fuzzer for a short bounded burst each (longer runs:
+# raise -fuzztime).
 fuzz:
 	$(GO) test -run Fuzz -fuzz=FuzzSnapfileOpen -fuzztime=10s ./internal/graph/snapfile
+	$(GO) test -run Fuzz -fuzz=FuzzUpdatesDecode -fuzztime=10s ./internal/server
 
 # Full micro-benchmark sweep (slow; see README "Performance").
 bench:

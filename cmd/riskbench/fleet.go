@@ -178,9 +178,8 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 				defer wg.Done()
 				o := s.Owners[ji]
 				fleetRuns[ti][ji], errs[ti][ji] = adm.Run(context.Background(), fleet.Job{
-					Graph:      s.Graph,
-					Store:      s.Profiles,
 					Snapshot:   snaps[ti],
+					Store:      s.Profiles,
 					Owner:      o.ID,
 					Annotator:  annotatorFor(o, rtt),
 					Confidence: o.Confidence,
@@ -373,7 +372,7 @@ func microBenches(seed int64) map[string]microResult {
 		"montecarlo_snapshot": record(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := propagation.MonteCarloSnapshot(snap, owner.ID, targets, pcfg); err != nil {
+				if _, err := propagation.MonteCarlo(snap, owner.ID, targets, pcfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -104,7 +104,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (fig4 fig5 fig6 fig7 headline table1 table2 table3 table4 table5 contrast dynamics robustness faults); empty = all")
 	rounds := flag.Int("rounds", 8, "x-axis length for fig5/fig6")
 	ablations := flag.Bool("ablations", false, "also run the DESIGN.md §5 ablations (classifiers, alpha, beta, stopping rule, weight exponent, Squeezer weights, pool strategy)")
-	workers := flag.Int("workers", 0, "concurrent per-pool workers in the risk engine (0 = one per CPU, 1 = serial legacy path)")
+	workers := flag.Int("workers", 0, "concurrent per-pool workers in the risk engine (0 = one per CPU, 1 = pools one after another)")
 	times := flag.Bool("times", true, "report per-stage wall time")
 	faultProb := flag.Float64("fault-prob", 0, "inject transient annotator failures with this per-query probability")
 	faultLatency := flag.Duration("fault-latency", 0, "inject this much latency into every annotator answer")

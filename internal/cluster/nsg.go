@@ -25,37 +25,39 @@ type NSG struct {
 	Score map[graph.UserID]float64
 }
 
-// BuildNSG computes NS(owner, s) for every stranger and buckets them
-// into alpha equal-width groups. Strangers follow the order returned
+// BuildNSGSnapshot computes the network similarity of every stranger
+// to the owner over a frozen graph snapshot and buckets the strangers
+// into alpha equal-width groups. Strangers follow the order given
 // within each bucket (ascending UserID, since inputs come from
-// graph.Strangers).
-func BuildNSG(g *graph.Graph, owner graph.UserID, strangers []graph.UserID, alpha int) (*NSG, error) {
-	return BuildNSGWith(g, owner, strangers, alpha, similarity.NS)
-}
-
-// BuildNSGWith is BuildNSG with a custom network-similarity measure —
-// used by the measure ablation, which swaps the paper's NS for the
-// classical alternatives.
-func BuildNSGWith(g *graph.Graph, owner graph.UserID, strangers []graph.UserID, alpha int, measure similarity.NetworkMeasure) (*NSG, error) {
+// Snapshot.Strangers).
+//
+// A nil measure means the paper's NS, computed with the allocation-free
+// sorted-slice intersection (one reused scratch buffer for the whole
+// stranger set). The measure ablation passes the classical measures of
+// similarity.Measures instead.
+func BuildNSGSnapshot(s *graph.Snapshot, owner graph.UserID, strangers []graph.UserID, alpha int, measure similarity.NetworkMeasure) (*NSG, error) {
 	if alpha < 1 {
 		return nil, fmt.Errorf("cluster: alpha must be >= 1, got %d", alpha)
-	}
-	if measure == nil {
-		measure = similarity.NS
 	}
 	out := &NSG{
 		Alpha:  alpha,
 		Groups: make([][]graph.UserID, alpha),
 		Score:  make(map[graph.UserID]float64, len(strangers)),
 	}
-	for _, s := range strangers {
-		ns := measure(g, owner, s)
-		out.Score[s] = ns
+	buf := make([]graph.UserID, 0, 64)
+	for _, st := range strangers {
+		var ns float64
+		if measure == nil {
+			ns, buf = similarity.NSInto(s, owner, st, buf)
+		} else {
+			ns = measure(s, owner, st)
+		}
+		out.Score[st] = ns
 		idx := int(math.Floor(ns * float64(alpha)))
 		if idx >= alpha { // NS exactly 1 lands in the top group
 			idx = alpha - 1
 		}
-		out.Groups[idx] = append(out.Groups[idx], s)
+		out.Groups[idx] = append(out.Groups[idx], st)
 	}
 	return out, nil
 }

@@ -48,7 +48,7 @@ func testWorld(t testing.TB, friends, strangers int) (*graph.Graph, *profile.Sto
 
 func TestBuildPoolsNPPPartition(t *testing.T) {
 	g, store, owner, strangers := testWorld(t, 12, 60)
-	pools, nsg, err := BuildPools(g, store, owner, strangers, DefaultPoolConfig())
+	pools, nsg, err := BuildPoolsSnapshot(g.Snapshot(), store, owner, strangers, DefaultPoolConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestBuildPoolsNSPPartition(t *testing.T) {
 	g, store, owner, strangers := testWorld(t, 12, 60)
 	cfg := DefaultPoolConfig()
 	cfg.Strategy = NSP
-	pools, _, err := BuildPools(g, store, owner, strangers, cfg)
+	pools, _, err := BuildPoolsSnapshot(g.Snapshot(), store, owner, strangers, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestBuildPoolsNSPPartition(t *testing.T) {
 		}
 	}
 	// NSP pools = one per non-empty NSG group.
-	nsg, err := BuildNSG(g, owner, strangers, cfg.Alpha)
+	nsg, err := BuildNSGSnapshot(g.Snapshot(), owner, strangers, cfg.Alpha, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,13 @@ func TestBuildPoolsNSPPartition(t *testing.T) {
 
 func TestNPPRefinesNSP(t *testing.T) {
 	g, store, owner, strangers := testWorld(t, 12, 60)
-	npp, _, err := BuildPools(g, store, owner, strangers, DefaultPoolConfig())
+	npp, _, err := BuildPoolsSnapshot(g.Snapshot(), store, owner, strangers, DefaultPoolConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultPoolConfig()
 	cfg.Strategy = NSP
-	nsp, _, err := BuildPools(g, store, owner, strangers, cfg)
+	nsp, _, err := BuildPoolsSnapshot(g.Snapshot(), store, owner, strangers, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,18 +133,18 @@ func TestBuildPoolsUnknownStrategy(t *testing.T) {
 	g, store, owner, strangers := testWorld(t, 6, 10)
 	cfg := DefaultPoolConfig()
 	cfg.Strategy = Strategy(42)
-	if _, _, err := BuildPools(g, store, owner, strangers, cfg); err == nil {
+	if _, _, err := BuildPoolsSnapshot(g.Snapshot(), store, owner, strangers, cfg); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
 
 func TestBuildPoolsDeterministic(t *testing.T) {
 	g, store, owner, strangers := testWorld(t, 12, 60)
-	a, _, err := BuildPools(g, store, owner, strangers, DefaultPoolConfig())
+	a, _, err := BuildPoolsSnapshot(g.Snapshot(), store, owner, strangers, DefaultPoolConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := BuildPools(g, store, owner, strangers, DefaultPoolConfig())
+	b, _, err := BuildPoolsSnapshot(g.Snapshot(), store, owner, strangers, DefaultPoolConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestPropPoolsAlwaysPartition(t *testing.T) {
 				cfg.Alpha = alpha
 				cfg.Strategy = strat
 				cfg.Squeezer.Beta = float64(rng.Intn(10)) / 10
-				pools, _, err := BuildPools(g, store, owner, strangers, cfg)
+				pools, _, err := BuildPoolsSnapshot(g.Snapshot(), store, owner, strangers, cfg)
 				if err != nil {
 					return false
 				}

@@ -52,24 +52,23 @@ type Config struct {
 	Seed int64
 	// Workers bounds how many per-pool computations (weight-matrix
 	// builds and classifier solves) run concurrently. 0 means
-	// runtime.GOMAXPROCS(0); 1 runs the exact legacy serial path.
+	// runtime.GOMAXPROCS(0). 1 runs the pools one after another on the
+	// caller's goroutine, asking the owner pool by pool and streaming
+	// OnPool and Progress; sightd and the fleet scheduler run this way.
 	// Results are identical for every value — see RunOwner.
 	Workers int
-	// Snapshot, when non-nil, is a frozen CSR view of the run's graph:
-	// stranger enumeration and NSG construction route through its
-	// allocation-free sorted-slice walks instead of the mutable graph's
-	// map walks, with bit-identical results. The caller must take the
-	// snapshot from the same graph passed to RunOwner (the fleet
-	// scheduler shares one snapshot across every tenant's runs). When
-	// nil and the pool config uses the paper's NS, RunOwner freezes its
-	// own snapshot — one O(V+E log d) pass that the per-stranger NS
-	// computations repay. A custom Pool.NetworkSim keeps the legacy
-	// *graph.Graph path, snapshot or not.
+	// Snapshot, when non-nil, is a frozen CSR view of the run's graph.
+	// Stranger enumeration, the network measure and NSG construction
+	// all run on a snapshot. The caller must take it from the same graph
+	// passed to RunOwner (the fleet scheduler shares one snapshot across
+	// a tenant's runs). When nil, RunOwner freezes its own from the
+	// graph — one O(V+E log d) pass that the per-stranger similarity
+	// computations repay.
 	//
-	// With a Snapshot set (and the paper's NS), RunOwner also accepts a
-	// nil graph: every structural query is answered by the snapshot.
-	// This is how mmap-backed snapshot files (graph/snapfile) run — no
-	// mutable graph is ever materialized.
+	// With a Snapshot set, RunOwner also accepts a nil graph: every
+	// structural query is answered by the snapshot. This is how
+	// mmap-backed snapshot files (graph/snapfile) run — no mutable
+	// graph is ever materialized.
 	Snapshot *graph.Snapshot
 	// Weights, when non-nil, is a shared content-keyed cache for the
 	// per-pool PS weight matrices. Pools whose membership, attribute
@@ -102,8 +101,8 @@ type Config struct {
 	// Observer, when non-nil, receives the structured event stream of
 	// the run: run/pool boundaries, every owner query, every learning
 	// round. The stream is identical for every Workers value on complete
-	// runs — the parallel path buffers per-pool events and flushes them
-	// in pool order. Nil costs nothing (no events are built).
+	// runs — with Workers > 1 per-pool events are buffered and flushed
+	// in pool order. Nil costs nothing (no session events are built).
 	Observer obs.Observer
 	// Trace tunes what the Observer stream carries (e.g. order-sensitive
 	// stage digests for the determinism auditor).
@@ -130,8 +129,8 @@ type Config struct {
 	// to computing every pool.
 	Reuse *OwnerRun
 	// OnPool, when non-nil, is invoked once per pool, in pool order, as
-	// results become final: on the serial path right after each pool
-	// finishes (streaming), on the parallel path at merge time after all
+	// results become final: at Workers = 1 right after each pool
+	// finishes (streaming), with Workers > 1 at merge time after all
 	// sessions complete. Partial pools are reported before fallback
 	// labels are synthesized; the assembled report remains authoritative.
 	// The callback must not mutate the run.
@@ -323,12 +322,13 @@ func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
 // hard failures (unexpected annotator errors, classifier errors,
 // failed checkpoint writes) return an error.
 //
-// With Config.Workers != 1 the per-pool work — weight-matrix builds
-// and active-learning sessions — runs concurrently, bounded by
-// Workers. The returned OwnerRun is identical to the serial one for
-// any deterministic annotator: pools are merged back in pool order,
-// every pool keeps its own derived RNG stream, and annotator queries
-// are serialized in a deterministic rotation (see runPoolsParallel).
+// Every pool runs the same per-pool body (runPool). With
+// Config.Workers != 1 the pools — weight-matrix builds and
+// active-learning sessions — run concurrently, bounded by Workers. The
+// returned OwnerRun is identical to the Workers = 1 one for any
+// deterministic annotator: pools are merged back in pool order, every
+// pool keeps its own derived RNG stream, and annotator queries are
+// serialized in a deterministic rotation (see runPoolsFanOut).
 // The annotator therefore never needs to be thread-safe; it must only
 // be deterministic per stranger if reproducible reports are wanted.
 func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.Store, owner graph.UserID, ann active.FallibleAnnotator, confidence float64) (*OwnerRun, error) {
@@ -341,11 +341,11 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 	if store == nil {
 		return nil, fmt.Errorf("core: profile store must not be nil")
 	}
-	// A nil graph is allowed when a frozen snapshot can serve every
+	// A nil graph is allowed when a frozen snapshot answers every
 	// structural query (the mmap-backed path, where no mutable graph
-	// ever exists); the legacy NetworkSim path walks the graph itself.
-	if g == nil && (e.cfg.Snapshot == nil || e.cfg.Pool.NetworkSim != nil) {
-		return nil, fmt.Errorf("core: graph and profile store must not be nil")
+	// ever exists).
+	if g == nil && e.cfg.Snapshot == nil {
+		return nil, fmt.Errorf("core: graph or Config.Snapshot required")
 	}
 	if ann == nil {
 		return nil, fmt.Errorf("core: annotator must not be nil")
@@ -367,25 +367,12 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.Retry.SessionTimeout)
 		defer cancel()
 	}
-	var strangers []graph.UserID
-	var pools []cluster.Pool
-	var nsg *cluster.NSG
-	var err error
-	if e.cfg.Pool.NetworkSim == nil {
-		// Fast path: the paper's NS over a frozen snapshot. Bit-identical
-		// to the mutable-graph path (see the snapshot equivalence tests).
-		snap := e.cfg.Snapshot
-		if snap == nil {
-			snap = g.Snapshot()
-		}
-		strangers = snap.Strangers(owner)
-		pools, nsg, err = cluster.BuildPoolsSnapshot(snap, store, owner, strangers, e.cfg.Pool)
-	} else {
-		// Measure ablations supply graph-based measures; stay on the
-		// legacy path.
-		strangers = g.Strangers(owner)
-		pools, nsg, err = cluster.BuildPools(g, store, owner, strangers, e.cfg.Pool)
+	snap := e.cfg.Snapshot
+	if snap == nil {
+		snap = g.Snapshot()
 	}
+	strangers := snap.Strangers(owner)
+	pools, nsg, err := cluster.BuildPoolsSnapshot(snap, store, owner, strangers, e.cfg.Pool)
 	if err != nil {
 		return nil, fmt.Errorf("core: owner %d: %w", owner, err)
 	}
@@ -422,7 +409,7 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 	// annotator, innermost first: retries for transient failures, the
 	// abandonment grace window, then the shared abandonment latch. The
 	// per-pool layers (replay cache, checkpoint recorder) are stacked
-	// on top by chain(), and the parallel path finally adds the turn
+	// on top by chain(), and the fan-out loop finally adds the turn
 	// gate above everything so cached and fresh queries alike keep
 	// their deterministic slot in the rotation.
 	var k *checkpointer
@@ -455,12 +442,14 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 	if exp == 0 {
 		exp = 4
 	}
-	reuse := e.reusePlan(store, owner, pools, exp)
+	op := &ownerPools{store: store, owner: owner, pools: pools, chain: chain, k: k, learn: learn, exp: exp}
+	op.reuse = e.reusePlan(store, owner, pools, exp)
 	if workers := parallel.ResolveWorkers(e.cfg.Workers); workers > 1 && len(pools) > 1 {
-		if err := e.runPoolsParallel(ctx, run, store, owner, pools, chain, k, learn, exp, workers, reuse); err != nil {
-			return nil, err
-		}
-	} else if err := e.runPoolsSerial(ctx, run, store, owner, pools, chain, k, learn, exp, reuse); err != nil {
+		err = e.runPoolsFanOut(ctx, run, op, workers)
+	} else {
+		err = e.runPoolsInline(ctx, run, op)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if run.Partial {
@@ -516,6 +505,11 @@ func poolsDigest(pools []cluster.Pool) obs.Digest {
 		}
 	}
 	return d
+}
+
+// poolEvent builds one pool-boundary event.
+func (e *Engine) poolEvent(kind obs.Kind, owner graph.UserID, poolID string, n int, note string) obs.Event {
+	return obs.Event{Kind: kind, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: n, Note: note}
 }
 
 // poolObserve adapts sink into the active session's per-event hook,
@@ -628,107 +622,134 @@ func (e *Engine) poolWeights(store *profile.Store, pool cluster.Pool, exp float6
 	return cluster.PoolWeights(store, pool, e.cfg.PSAttributes, exp)
 }
 
-// runPoolsSerial is the legacy one-pool-at-a-time path (Workers == 1,
-// or a single pool). On interruption it stops asking questions: the
-// interrupted pool keeps its partial result and every remaining pool
-// is synthesized as an empty partial run for fillFallbacks to
-// complete. Pools with a reuse plan entry splice the prior result and
-// skip their session (and weight build) entirely.
-func (e *Engine) runPoolsSerial(ctx context.Context, run *OwnerRun, store *profile.Store, owner graph.UserID, pools []cluster.Pool, chain func(string) active.FallibleAnnotator, k *checkpointer, learn active.Config, exp float64, reuse []*PoolRun) error {
-	labelsTotal := 0
-	sink := e.cfg.Observer
-	for pi, pool := range pools {
-		poolID := pool.ID()
-		if run.Partial {
-			pr := PoolRun{Pool: pool, Result: emptyInterruptedResult(pool), Status: PoolPartial}
-			run.Pools = append(run.Pools, pr)
-			if sink != nil {
-				sink.Observe(obs.Event{Kind: obs.KindPoolStart, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pool.Members)})
-				sink.Observe(obs.Event{Kind: obs.KindPoolEnd, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, Note: "interrupted"})
-			}
-			e.emitPool(run, pr, pi, len(pools))
-			if e.cfg.Progress != nil {
-				e.cfg.Progress(pi+1, len(pools), labelsTotal)
-			}
-			continue
-		}
-		if reuse != nil && reuse[pi] != nil {
-			pr := reusedPoolRun(pool, reuse[pi])
-			run.Pools = append(run.Pools, pr)
-			if k != nil {
-				k.markDone(poolID)
-			}
-			if sink != nil {
-				sink.Observe(obs.Event{Kind: obs.KindPoolStart, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pool.Members)})
-				sink.Observe(obs.Event{Kind: obs.KindPoolEnd, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pr.Result.Rounds), Note: "reused"})
-			}
-			if m := e.cfg.Metrics; m != nil {
-				m.PoolsReused.Add(1)
-			}
-			e.emitPool(run, pr, pi, len(pools))
-			if e.cfg.Progress != nil {
-				e.cfg.Progress(pi+1, len(pools), labelsTotal)
-			}
-			continue
-		}
-		if sink != nil {
-			sink.Observe(obs.Event{Kind: obs.KindPoolStart, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pool.Members)})
-		}
-		var wstart time.Time
-		if sink != nil {
-			wstart = time.Now()
-		}
-		weights, err := e.poolWeights(store, pool, exp)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		wkey := cluster.PoolKey(store, pool, e.cfg.PSAttributes, exp)
-		if sink != nil {
-			sink.Observe(obs.Event{Kind: obs.KindPoolWeights, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pool.Members), Dur: time.Since(wstart)})
-		}
-		cfg := learn
-		cfg.Rand = rand.New(rand.NewSource(poolSeed(e.cfg.Seed, owner, pi)))
-		if k != nil {
-			cfg.AfterRound = func(r active.Round) error { return k.afterRound(poolID, r) }
-		}
-		cfg.Observe = e.poolObserve(sink, owner, poolID)
-		cfg.Digests = e.cfg.Trace.Digests
-		if cfg.Classifier == nil {
-			cfg.Classifier = e.newClassifier()
-		}
-		sess, err := active.NewSession(pool.Members, weights, chain(poolID), cfg)
-		if err != nil {
-			return fmt.Errorf("core: pool %s: %w", poolID, err)
-		}
-		res, err := sess.RunContext(ctx)
-		switch {
-		case err == nil:
-			if k != nil {
-				k.markDone(poolID)
-			}
-			run.Pools = append(run.Pools, PoolRun{Pool: pool, Result: res, Status: PoolComplete, WeightKey: wkey})
-		case isInterrupt(err) && res != nil:
-			run.Partial = true
-			run.Cause = err
-			run.Pools = append(run.Pools, PoolRun{Pool: pool, Result: res, Status: PoolPartial, WeightKey: wkey})
-		default:
-			return fmt.Errorf("core: pool %s: %w", poolID, err)
-		}
-		if sink != nil {
-			ev := obs.Event{Kind: obs.KindPoolEnd, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(res.Rounds), Note: string(res.Reason)}
-			sink.Observe(ev)
-		}
+// ownerPools is what every pool of one owner run shares: the session
+// inputs and the run-level annotator middleware.
+type ownerPools struct {
+	store *profile.Store
+	owner graph.UserID
+	pools []cluster.Pool
+	// chain stacks the per-pool annotator layers (replay cache,
+	// checkpoint recorder) over the run's shared middleware.
+	chain func(poolID string) active.FallibleAnnotator
+	k     *checkpointer
+	learn active.Config
+	exp   float64
+	// reuse is Engine.reusePlan's splice plan; nil when nothing is
+	// reusable.
+	reuse []*PoolRun
+	// limiter, when set, bounds weight builds alongside classifier
+	// solves (the fan-out loop); nil builds inline.
+	limiter *parallel.Limiter
+}
+
+// runPool runs pool i to its outcome. It is the one per-pool body both
+// pool loops share: reuse splice, pool.start, the timed weight build,
+// the learning session, pool.end and the metrics. sink receives the
+// pool's events (nil for none), ann answers its questions and clf
+// solves its rounds — the inline loop passes the run's own, the
+// fan-out loop a per-pool buffer, the gated annotator and the
+// limited classifier. cause is the interruption (abandonment or
+// cancellation) that left the pool partial; err is a hard failure.
+func (e *Engine) runPool(ctx context.Context, op *ownerPools, i int, sink obs.Observer, ann active.FallibleAnnotator, clf classify.Classifier) (pr PoolRun, cause, err error) {
+	pool := op.pools[i]
+	poolID := pool.ID()
+	obs.Emit(sink, e.poolEvent(obs.KindPoolStart, op.owner, poolID, len(pool.Members), ""))
+	if op.reuse != nil && op.reuse[i] != nil {
+		pr = reusedPoolRun(pool, op.reuse[i])
+		op.k.markDone(poolID)
+		obs.Emit(sink, e.poolEvent(obs.KindPoolEnd, op.owner, poolID, len(pr.Result.Rounds), "reused"))
 		if m := e.cfg.Metrics; m != nil {
-			m.Rounds.Add(uint64(len(res.Rounds)))
-			m.RoundsPerPool.Observe(len(res.Rounds))
-			m.Queries.Add(uint64(res.QueriedCount()))
+			m.PoolsReused.Add(1)
 		}
-		// Satellite fix: accumulate the owner-label total instead of
-		// rescanning every finished pool via run.QueriedCount().
-		labelsTotal += res.QueriedCount()
-		e.emitPool(run, run.Pools[len(run.Pools)-1], pi, len(pools))
+		return pr, nil, nil
+	}
+	var weights [][]float64
+	var dur time.Duration
+	build := func() {
+		t0 := time.Now()
+		weights, err = e.poolWeights(op.store, pool, op.exp)
+		dur = time.Since(t0)
+	}
+	if op.limiter != nil {
+		op.limiter.Do(build)
+	} else {
+		build()
+	}
+	if err != nil {
+		return pr, nil, fmt.Errorf("core: %w", err)
+	}
+	wkey := cluster.PoolKey(op.store, pool, e.cfg.PSAttributes, op.exp)
+	wev := e.poolEvent(obs.KindPoolWeights, op.owner, poolID, len(pool.Members), "")
+	wev.Dur = dur
+	obs.Emit(sink, wev)
+
+	cfg := op.learn
+	cfg.Rand = rand.New(rand.NewSource(poolSeed(e.cfg.Seed, op.owner, i)))
+	cfg.Classifier = clf
+	if op.k != nil {
+		cfg.AfterRound = func(r active.Round) error { return op.k.afterRound(poolID, r) }
+	}
+	if sink != nil {
+		cfg.Observe = e.poolObserve(sink, op.owner, poolID)
+		cfg.Digests = e.cfg.Trace.Digests
+	}
+	sess, err := active.NewSession(pool.Members, weights, ann, cfg)
+	if err != nil {
+		return pr, nil, fmt.Errorf("core: pool %s: %w", poolID, err)
+	}
+	res, err := sess.RunContext(ctx)
+	switch {
+	case err == nil:
+		op.k.markDone(poolID)
+		pr = PoolRun{Pool: pool, Result: res, Status: PoolComplete, WeightKey: wkey}
+	case isInterrupt(err) && res != nil:
+		cause = err
+		pr = PoolRun{Pool: pool, Result: res, Status: PoolPartial, WeightKey: wkey}
+	default:
+		return pr, nil, fmt.Errorf("core: pool %s: %w", poolID, err)
+	}
+	obs.Emit(sink, e.poolEvent(obs.KindPoolEnd, op.owner, poolID, len(res.Rounds), string(res.Reason)))
+	if m := e.cfg.Metrics; m != nil {
+		m.Rounds.Add(uint64(len(res.Rounds)))
+		m.RoundsPerPool.Observe(len(res.Rounds))
+		m.Queries.Add(uint64(res.QueriedCount()))
+	}
+	return pr, cause, nil
+}
+
+// runPoolsInline runs the pools one after another on the caller's
+// goroutine (Workers == 1, or a single pool): owner questions come
+// pool by pool, events go straight to the observer, and OnPool and
+// Progress stream as each pool finishes. Once the run is interrupted
+// it stops asking questions: the interrupted pool keeps its partial
+// result and every later pool becomes an empty partial stub for
+// fillFallbacks to complete.
+func (e *Engine) runPoolsInline(ctx context.Context, run *OwnerRun, op *ownerPools) error {
+	sink := e.cfg.Observer
+	labels := 0
+	for i, pool := range op.pools {
+		var pr PoolRun
+		if run.Partial {
+			pr = PoolRun{Pool: pool, Result: emptyInterruptedResult(pool), Status: PoolPartial}
+			obs.Emit(sink, e.poolEvent(obs.KindPoolStart, op.owner, pool.ID(), len(pool.Members), ""))
+			obs.Emit(sink, e.poolEvent(obs.KindPoolEnd, op.owner, pool.ID(), 0, "interrupted"))
+		} else {
+			var cause, err error
+			pr, cause, err = e.runPool(ctx, op, i, sink, op.chain(pool.ID()), e.poolClassifier(op.learn.Classifier))
+			if err != nil {
+				return err
+			}
+			if cause != nil {
+				run.Partial, run.Cause = true, cause
+			}
+			if !pr.Reused {
+				labels += pr.Result.QueriedCount()
+			}
+		}
+		run.Pools = append(run.Pools, pr)
+		e.emitPool(run, pr, i, len(op.pools))
 		if e.cfg.Progress != nil {
-			e.cfg.Progress(pi+1, len(pools), labelsTotal)
+			e.cfg.Progress(i+1, len(op.pools), labels)
 		}
 	}
 	return nil
@@ -748,7 +769,7 @@ func emptyInterruptedResult(pool cluster.Pool) *active.Result {
 
 // poolSeed derives the per-pool sampling RNG seed. It depends only on
 // the base seed, the owner and the pool's index in pool order, so the
-// serial and parallel paths draw identical query samples.
+// inline and fan-out loops draw identical query samples.
 func poolSeed(seed int64, owner graph.UserID, pool int) int64 {
 	return seed + int64(owner)*7919 + int64(pool)*104729
 }

@@ -2,39 +2,31 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
 	"sync"
-	"time"
 
 	"sightrisk/internal/active"
 	"sightrisk/internal/classify"
-	"sightrisk/internal/cluster"
 	"sightrisk/internal/graph"
 	"sightrisk/internal/label"
 	"sightrisk/internal/obs"
 	"sightrisk/internal/parallel"
-	"sightrisk/internal/profile"
 )
 
-// runPoolsParallel is the concurrent counterpart of RunOwner's serial
-// pool loop. It produces byte-identical PoolRuns in pool order, for
-// any deterministic annotator, by splitting the work into two stages:
-//
-//  1. Weight matrices. Each pool's PS() matrix is self-contained
-//     (pool-local value frequencies, own backing array), so all builds
-//     run on a bounded worker Group with index-ordered results.
-//
-//  2. Sessions. Every pool gets its own goroutine — the query Gate's
-//     rotation must be able to wait on any pool, so sessions cannot
-//     share a bounded pool of goroutines — while the CPU-heavy
-//     classifier solves share `workers` Limiter permits. All annotator
-//     queries are routed through the Gate, which serializes them in a
-//     rotation over pool indices that depends only on each session's
-//     own deterministic behavior. The owner is therefore asked one
-//     question at a time, in the same order for every Workers > 1
-//     value and every run. (Workers == 1 keeps the legacy order: all
-//     of pool 0's questions, then pool 1's, and so on.)
+// runPoolsFanOut is the concurrent pool loop (Workers > 1 and more
+// than one pool). It produces byte-identical PoolRuns in pool order,
+// for any deterministic annotator. Every pool runs runPool in its own
+// goroutine — the query Gate's rotation must be able to wait on any
+// pool, so pools cannot share a bounded pool of goroutines — while the
+// CPU-heavy work, weight builds and classifier solves, shares
+// `workers` Limiter permits. Each pool's weight matrix is
+// self-contained (pool-local value frequencies, own backing array), so
+// the builds need no other coordination. All annotator queries are
+// routed through the Gate, which serializes them in a rotation over
+// pool indices that depends only on each session's own deterministic
+// behavior. The owner is therefore asked one question at a time, in
+// the same order for every Workers > 1 value and every run.
+// (runPoolsInline keeps the pool-major order: all of pool 0's
+// questions, then pool 1's, and so on.)
 //
 // Failures cancel cooperatively: the first error flips the Group's
 // flag, in-flight sessions abort at their next classifier call, and
@@ -48,50 +40,14 @@ import (
 // degraded outcome is as deterministic as a successful one. When ctx
 // is canceled the gate is aborted, so sessions blocked waiting their
 // turn unblock promptly instead of waiting out other pools' compute.
-func (e *Engine) runPoolsParallel(ctx context.Context, run *OwnerRun, store *profile.Store, owner graph.UserID, pools []cluster.Pool, chain func(string) active.FallibleAnnotator, k *checkpointer, learn active.Config, exp float64, workers int, reuse []*PoolRun) error {
+func (e *Engine) runPoolsFanOut(ctx context.Context, run *OwnerRun, op *ownerPools, workers int) error {
+	pools := op.pools
 	sink := e.cfg.Observer
-	weights := make([][][]float64, len(pools))
-	wkeys := make([]cluster.Key, len(pools))
-	var durs []time.Duration
-	if sink != nil {
-		durs = make([]time.Duration, len(pools))
-	}
-	build := parallel.NewGroup(workers)
-	for i := range pools {
-		i := i
-		if reuse != nil && reuse[i] != nil {
-			// Reused pools skip their weight build entirely — the spliced
-			// result already carries the content key that proved the
-			// matrix unchanged.
-			continue
-		}
-		build.Go(i, func() error {
-			if build.Canceled() {
-				return parallel.ErrCanceled
-			}
-			var start time.Time
-			if durs != nil {
-				start = time.Now()
-			}
-			w, err := e.poolWeights(store, pools[i], exp)
-			if err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			if durs != nil {
-				durs[i] = time.Since(start)
-			}
-			weights[i] = w
-			wkeys[i] = cluster.PoolKey(store, pools[i], e.cfg.PSAttributes, exp)
-			return nil
-		})
-	}
-	if err := build.Wait(); err != nil {
-		return err
-	}
+	op.limiter = parallel.NewLimiter(workers)
 
 	// Each pool's events go into a private buffer, flushed to the real
 	// sink in pool order after every session finished — so the observed
-	// stream is identical to the serial path's, for any Workers value.
+	// stream is identical to the inline loop's, for any Workers value.
 	var bufs []*obs.Buffer
 	if sink != nil {
 		bufs = make([]*obs.Buffer, len(pools))
@@ -101,8 +57,7 @@ func (e *Engine) runPoolsParallel(ctx context.Context, run *OwnerRun, store *pro
 	}
 
 	gate := parallel.NewGate(len(pools))
-	limiter := parallel.NewLimiter(workers)
-	sessions := parallel.NewGroup(len(pools)) // one goroutine per pool; CPU bounded by limiter
+	sessions := parallel.NewGroup(len(pools)) // one goroutine per pool; CPU bounded by the limiter
 	runs := make([]PoolRun, len(pools))
 	causes := make([]error, len(pools))
 
@@ -122,13 +77,15 @@ func (e *Engine) runPoolsParallel(ctx context.Context, run *OwnerRun, store *pro
 	// results) is scheduler-dependent.
 	var progressMu sync.Mutex
 	poolsDone, labelsSoFar := 0, 0
-	progress := func(queried int) {
+	progress := func(pr PoolRun) {
 		if e.cfg.Progress == nil {
 			return
 		}
 		progressMu.Lock()
 		poolsDone++
-		labelsSoFar += queried
+		if !pr.Reused {
+			labelsSoFar += pr.Result.QueriedCount()
+		}
 		e.cfg.Progress(poolsDone, len(pools), labelsSoFar)
 		progressMu.Unlock()
 	}
@@ -136,81 +93,33 @@ func (e *Engine) runPoolsParallel(ctx context.Context, run *OwnerRun, store *pro
 	for i := range pools {
 		i := i
 		sessions.Go(i, func() error {
+			// A pool that finishes — reused, no questions, or done —
+			// drops out of the query rotation via Done.
 			defer gate.Done(i)
-			poolID := pools[i].ID()
-			if reuse != nil && reuse[i] != nil {
-				// Splice the prior result; the slot drops out of the query
-				// rotation immediately (via the deferred Done), exactly like
-				// a session that asks no questions.
-				if k != nil {
-					k.markDone(poolID)
-				}
-				runs[i] = reusedPoolRun(pools[i], reuse[i])
-				if bufs != nil {
-					bufs[i].Observe(obs.Event{Kind: obs.KindPoolStart, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pools[i].Members)})
-					bufs[i].Observe(obs.Event{Kind: obs.KindPoolEnd, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(runs[i].Result.Rounds), Note: "reused"})
-				}
-				if m := e.cfg.Metrics; m != nil {
-					m.PoolsReused.Add(1)
-				}
-				progress(0)
-				return nil
+			var poolSink obs.Observer
+			if bufs != nil {
+				poolSink = bufs[i]
 			}
-			cfg := learn
-			cfg.Rand = rand.New(rand.NewSource(poolSeed(e.cfg.Seed, owner, i)))
-			cfg.Classifier = &limitedClassifier{
-				inner:    e.parallelClassifier(learn.Classifier),
-				limiter:  limiter,
+			ann := gatedAnnotator{gate: gate, slot: i, inner: op.chain(pools[i].ID())}
+			clf := &limitedClassifier{
+				inner:    e.poolClassifier(op.learn.Classifier),
+				limiter:  op.limiter,
 				canceled: sessions.Canceled,
 			}
-			if k != nil {
-				cfg.AfterRound = func(r active.Round) error { return k.afterRound(poolID, r) }
-			}
-			if bufs != nil {
-				bufs[i].Observe(obs.Event{Kind: obs.KindPoolStart, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pools[i].Members)})
-				bufs[i].Observe(obs.Event{Kind: obs.KindPoolWeights, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pools[i].Members), Dur: durs[i]})
-				cfg.Observe = e.poolObserve(bufs[i], owner, poolID)
-				cfg.Digests = e.cfg.Trace.Digests
-			}
-			ann := gatedAnnotator{gate: gate, slot: i, inner: chain(poolID)}
-			sess, err := active.NewSession(pools[i].Members, weights[i], ann, cfg)
+			pr, cause, err := e.runPool(ctx, op, i, poolSink, ann, clf)
 			if err != nil {
-				return fmt.Errorf("core: pool %s: %w", poolID, err)
+				return err
 			}
-			res, err := sess.RunContext(ctx)
-			switch {
-			case err == nil:
-				if k != nil {
-					k.markDone(poolID)
-				}
-				runs[i] = PoolRun{Pool: pools[i], Result: res, Status: PoolComplete, WeightKey: wkeys[i]}
-			case isInterrupt(err) && res != nil:
-				causes[i] = err
-				runs[i] = PoolRun{Pool: pools[i], Result: res, Status: PoolPartial, WeightKey: wkeys[i]}
-			default:
-				return fmt.Errorf("core: pool %s: %w", poolID, err)
-			}
-			if bufs != nil {
-				bufs[i].Observe(obs.Event{Kind: obs.KindPoolEnd, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(res.Rounds), Note: string(res.Reason)})
-			}
-			if m := e.cfg.Metrics; m != nil {
-				m.Rounds.Add(uint64(len(res.Rounds)))
-				m.RoundsPerPool.Observe(len(res.Rounds))
-				m.Queries.Add(uint64(res.QueriedCount()))
-			}
-			progress(res.QueriedCount())
+			runs[i], causes[i] = pr, cause
+			progress(pr)
 			return nil
 		})
 	}
 	if err := sessions.Wait(); err != nil {
 		return err
 	}
-	if bufs != nil {
-		// Flush per-pool buffers in pool order: the merged stream now
-		// reads exactly like the serial path's.
-		for _, b := range bufs {
-			b.FlushTo(sink)
-		}
+	for _, b := range bufs {
+		b.FlushTo(sink)
 	}
 	run.Pools = runs
 	for _, cause := range causes {
@@ -220,22 +129,22 @@ func (e *Engine) runPoolsParallel(ctx context.Context, run *OwnerRun, store *pro
 			break
 		}
 	}
-	// OnPool fires at merge time, in pool order — the parallel path
-	// cannot stream mid-run without leaking scheduler-dependent order.
+	// OnPool fires at merge time, in pool order — the fan-out cannot
+	// stream mid-run without leaking scheduler-dependent order.
 	for i := range runs {
 		e.emitPool(run, runs[i], i, len(runs))
 	}
 	return nil
 }
 
-// parallelClassifier mirrors active.NewSession's default: a nil
-// configured classifier means each session gets its own Harmonic
-// instance (so the warm-start scratch state is never shared), wired to
-// the engine's solver metrics like the serial path. A non-nil
-// classifier is shared across concurrent sessions and must be
-// stateless across Predict calls — true of every classifier in this
-// module (Harmonic, Majority, KNN keep no per-call state).
-func (e *Engine) parallelClassifier(configured classify.Classifier) classify.Classifier {
+// poolClassifier mirrors active.NewSession's default: a nil configured
+// classifier means each pool gets its own Harmonic instance (so the
+// warm-start scratch state is never shared), wired to the engine's
+// solver metrics. A non-nil classifier is shared across concurrent
+// sessions and must be stateless across Predict calls — true of every
+// classifier in this module (Harmonic, Majority, KNN keep no per-call
+// state).
+func (e *Engine) poolClassifier(configured classify.Classifier) classify.Classifier {
 	if configured != nil {
 		return configured
 	}
@@ -281,8 +190,8 @@ type warmStarter interface {
 // pipeline's CPU hot spot) holds one Limiter permit, and so in-flight
 // sessions abort promptly after another pool fails. It forwards the
 // warm-start path exactly as the session would have used it on the
-// bare classifier, keeping parallel predictions bit-identical to
-// serial ones.
+// bare classifier, keeping fan-out predictions bit-identical to
+// inline ones.
 type limitedClassifier struct {
 	inner    classify.Classifier
 	limiter  *parallel.Limiter

@@ -11,8 +11,10 @@ import (
 	"testing"
 
 	"sightrisk/internal/active"
+	"sightrisk/internal/faults"
 	"sightrisk/internal/graph"
 	"sightrisk/internal/label"
+	"sightrisk/internal/obs"
 	"sightrisk/internal/synthetic"
 )
 
@@ -219,5 +221,126 @@ func TestParallelProgressMonotone(t *testing.T) {
 	}
 	if lastLabels != run.QueriedCount() {
 		t.Fatalf("final labels %d, run queried %d", lastLabels, run.QueriedCount())
+	}
+}
+
+// eventLog collects a run's events and OnPool calls into one ordered
+// stream, so a test can check when pools are published relative to
+// other pools' sessions.
+type eventLog struct {
+	mu     sync.Mutex
+	events []obs.Event
+	onPool []int // index into events at which each OnPool fired, by pool
+}
+
+func (l *eventLog) Observe(ev obs.Event) {
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
+}
+
+func (l *eventLog) poolDone(run *OwnerRun, pr PoolRun, index, total int) {
+	l.mu.Lock()
+	l.onPool = append(l.onPool, len(l.events))
+	l.mu.Unlock()
+}
+
+// TestWorkersOneContract pins what sightd and the fleet rely on at
+// Workers = 1: owner questions are pool-major (each pool's questions
+// contiguous, pools in order); once a run is interrupted every later
+// pool is an empty StopInterrupted stub whose only events are
+// pool.start and pool.end "interrupted"; and OnPool streams, firing
+// for pool 0 before the last pool's session starts.
+func TestWorkersOneContract(t *testing.T) {
+	study := studyWorld(t)
+	o := study.Owners[0]
+
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	log := &eventLog{}
+	cfg.Observer = log
+	cfg.OnPool = log.poolDone
+	rec := &askRecorder{inner: active.Infallible(o)}
+	run, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, rec, o.Confidence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poolOf := map[graph.UserID]int{}
+	asking := 0
+	for i, p := range run.Pools {
+		for _, m := range p.Pool.Members {
+			poolOf[m] = i
+		}
+		if p.Result.QueriedCount() > 0 {
+			asking++
+		}
+	}
+	if asking < 2 {
+		t.Fatalf("study too small: %d pools ask questions", asking)
+	}
+	for i := 1; i < len(rec.asked); i++ {
+		if poolOf[rec.asked[i]] < poolOf[rec.asked[i-1]] {
+			t.Fatalf("question %d (pool %d) follows a question of pool %d: order is not pool-major",
+				i, poolOf[rec.asked[i]], poolOf[rec.asked[i-1]])
+		}
+	}
+	last := run.Pools[len(run.Pools)-1].Pool.ID()
+	lastStart := -1
+	for i, ev := range log.events {
+		if ev.Kind == obs.KindPoolStart && ev.Pool == last {
+			lastStart = i
+		}
+	}
+	if len(log.onPool) != len(run.Pools) || lastStart < 0 {
+		t.Fatalf("%d OnPool calls for %d pools; last pool start at %d", len(log.onPool), len(run.Pools), lastStart)
+	}
+	if log.onPool[0] > lastStart {
+		t.Fatalf("OnPool(0) fired at event %d, after the last pool started at %d: not streaming", log.onPool[0], lastStart)
+	}
+
+	// Abandon inside the first pool that asks questions.
+	first := 0
+	for run.Pools[first].Result.QueriedCount() == 0 {
+		first++
+	}
+	cut := 0
+	for _, p := range run.Pools[:first] {
+		cut += p.Result.QueriedCount()
+	}
+	cut++
+	inj, err := faults.Wrap(active.Infallible(o), faults.Config{AbandonAfter: cut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alog := &eventLog{}
+	acfg := DefaultConfig()
+	acfg.Workers = 1
+	acfg.Observer = alog
+	abandoned, err := New(acfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, inj, o.Confidence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !abandoned.Partial || abandoned.Pools[first].Status != PoolPartial {
+		t.Fatalf("run not interrupted in pool %d", first)
+	}
+	if first+1 >= len(abandoned.Pools) {
+		t.Fatalf("no pool after the interrupted pool %d", first)
+	}
+	byPool := map[string][]obs.Event{}
+	for _, ev := range alog.events {
+		if ev.Pool != "" {
+			byPool[ev.Pool] = append(byPool[ev.Pool], ev)
+		}
+	}
+	for i := first + 1; i < len(abandoned.Pools); i++ {
+		p := abandoned.Pools[i]
+		if p.Status != PoolPartial || p.Result.Reason != active.StopInterrupted || len(p.Result.Rounds) != 0 || p.Result.QueriedCount() != 0 {
+			t.Fatalf("pool %d after the interruption is not an empty StopInterrupted stub: status %s reason %s, %d rounds",
+				i, p.Status, p.Result.Reason, len(p.Result.Rounds))
+		}
+		evs := byPool[p.Pool.ID()]
+		if len(evs) != 2 || evs[0].Kind != obs.KindPoolStart || evs[1].Kind != obs.KindPoolEnd || evs[1].Note != "interrupted" {
+			t.Fatalf("pool %d stub events = %v, want pool.start then pool.end \"interrupted\"", i, evs)
+		}
 	}
 }

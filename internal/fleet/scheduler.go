@@ -132,16 +132,12 @@ type SchedulerConfig struct {
 
 // Job is one owner estimate submitted to a Scheduler.
 type Job struct {
-	// Graph and Store hold the tenant's social graph and profiles.
-	// Graph may be nil when Snapshot is set (an mmap-backed
-	// graph/snapfile tenant) and the engine runs the paper's
-	// network-similarity.
-	Graph *graph.Graph
+	// Snapshot is the frozen CSR view of the tenant's social graph,
+	// shared by the tenant's jobs; the engine answers every structural
+	// query from it. Required.
+	Snapshot *graph.Snapshot
 	// Store holds the tenant's user profiles.
 	Store *profile.Store
-	// Snapshot, when non-nil, is the frozen CSR view shared by the
-	// tenant's jobs (the engine freezes its own otherwise).
-	Snapshot *graph.Snapshot
 	// Owner is the user the estimate is for.
 	Owner graph.UserID
 	// Annotator answers the owner's label queries.
@@ -272,7 +268,7 @@ func (a *Admission) Run(ctx context.Context, job Job) (*core.OwnerRun, error) {
 		ecfg.Workers = 1 // the serial path is non-negotiable
 		ecfg.Weights = a.s.weights
 	}
-	run, err := core.New(ecfg).RunOwner(ctx, job.Graph, job.Store, job.Owner, job.Annotator, job.Confidence)
+	run, err := core.New(ecfg).RunOwner(ctx, nil, job.Store, job.Owner, job.Annotator, job.Confidence)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"sightrisk/internal/graph/snapfile"
 	"sightrisk/internal/label"
 	"sightrisk/internal/obs"
+	"sightrisk/internal/similarity"
 	"sightrisk/internal/synthetic"
 )
 
@@ -75,12 +77,13 @@ func newTestScheduler(t *testing.T, workers int) *Scheduler {
 }
 
 // jobsOf returns one job per study owner, answered by the owner's own
-// synthetic annotator over the study's live graph.
+// synthetic annotator over one snapshot of the study's graph.
 func jobsOf(study *synthetic.Study) []Job {
+	snap := study.Graph.Snapshot()
 	jobs := make([]Job, len(study.Owners))
 	for i, o := range study.Owners {
 		jobs[i] = Job{
-			Graph: study.Graph, Store: study.Profiles,
+			Snapshot: snap, Store: study.Profiles,
 			Owner: o.ID, Annotator: active.Infallible(o), Confidence: o.Confidence,
 		}
 	}
@@ -120,10 +123,6 @@ func TestSchedulerMatchesSerial(t *testing.T) {
 	defer s.Close()
 
 	jobs := jobsOf(study)
-	snap := study.Graph.Snapshot()
-	for i := range jobs {
-		jobs[i].Snapshot = snap
-	}
 	runs, errs := runAll(context.Background(), t, s, "tenant-a", jobs)
 	for i, run := range runs {
 		if errs[i] != nil {
@@ -193,7 +192,7 @@ func TestSchedulerQueryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	run, err := adm.Run(context.Background(), Job{
-		Graph: study.Graph, Store: study.Profiles,
+		Snapshot: study.Graph.Snapshot(), Store: study.Profiles,
 		Owner: o.ID, Annotator: active.Infallible(o), Confidence: o.Confidence,
 	})
 	if err != nil {
@@ -284,7 +283,7 @@ func TestSchedulerQueuedCancellation(t *testing.T) {
 	go func() {
 		defer close(done)
 		if _, err := admA.Run(context.Background(), Job{
-			Graph: study.Graph, Store: study.Profiles,
+			Snapshot: study.Graph.Snapshot(), Store: study.Profiles,
 			Owner: o.ID, Annotator: blocker, Confidence: o.Confidence,
 		}); err != nil {
 			t.Error(err)
@@ -299,7 +298,7 @@ func TestSchedulerQueuedCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := admB.Run(ctx, Job{
-		Graph: study.Graph, Store: study.Profiles,
+		Snapshot: study.Graph.Snapshot(), Store: study.Profiles,
 		Owner: o.ID, Annotator: active.Infallible(o), Confidence: o.Confidence,
 	}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("queued Run under expired ctx: got %v, want deadline exceeded", err)
@@ -336,7 +335,7 @@ func TestSchedulerConfigureCannotBreakSerialPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	run, err := adm.Run(context.Background(), Job{
-		Graph: study.Graph, Store: study.Profiles,
+		Snapshot: study.Graph.Snapshot(), Store: study.Profiles,
 		Owner: o.ID, Annotator: active.Infallible(o), Confidence: o.Confidence,
 		Configure: func(c *core.Config) {
 			c.Workers = 8 // must be ignored
@@ -380,11 +379,10 @@ func TestFleetMatchesSerial(t *testing.T) {
 }
 
 // TestFleetSnapshotOnlyTenant: a job backed purely by an mmap'd
-// snapshot file (nil Graph) produces runs byte-identical to the same
-// owner's run over the live graph.
+// snapshot file produces runs byte-identical to the same owner's run
+// over the live graph — with the paper's NS and with a classical
+// measure from the ablation registry.
 func TestFleetSnapshotOnlyTenant(t *testing.T) {
-	want := serialBaseline(t, fleetStudy(t, 2, 100, 11))
-
 	study := fleetStudy(t, 2, 100, 11)
 	snap := study.Graph.Snapshot()
 	table, err := snapfile.TableFromStore(snap.Nodes(), study.Profiles)
@@ -403,35 +401,44 @@ func TestFleetSnapshotOnlyTenant(t *testing.T) {
 
 	jobs := jobsOf(study)
 	for i := range jobs {
-		jobs[i].Graph, jobs[i].Snapshot, jobs[i].Store = nil, f.Snapshot(), f.Profiles().Store()
+		jobs[i].Snapshot, jobs[i].Store = f.Snapshot(), f.Profiles().Store()
 	}
-	s := newTestScheduler(t, 2)
-	defer s.Close()
-	runs, errs := runAll(context.Background(), t, s, "mmap", jobs)
-	for i, run := range runs {
-		if errs[i] != nil {
-			t.Fatalf("job %d: %v", i, errs[i])
+	var scores []map[graph.UserID]float64
+	for _, measure := range []string{"NS", "cosine"} {
+		ecfg := core.DefaultConfig()
+		if measure != "NS" {
+			if ecfg.Pool.NetworkSim, err = similarity.MeasureByName(measure); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if d := diffRuns(run, want[run.Owner]); d != "" {
-			t.Fatalf("owner %d differs from serial graph-backed run: %s", run.Owner, d)
+		want := map[graph.UserID]*core.OwnerRun{}
+		for _, o := range study.Owners {
+			cfg := ecfg
+			cfg.Workers = 1
+			run, err := core.New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[o.ID] = run
+		}
+		scores = append(scores, want[study.Owners[0].ID].NSG.Score)
+		s, err := NewScheduler(SchedulerConfig{Engine: ecfg, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, errs := runAll(context.Background(), t, s, "mmap", jobs)
+		s.Close()
+		for i, run := range runs {
+			if errs[i] != nil {
+				t.Fatalf("%s job %d: %v", measure, i, errs[i])
+			}
+			if d := diffRuns(run, want[run.Owner]); d != "" {
+				t.Fatalf("%s: owner %d differs from in-process graph-backed run: %s", measure, run.Owner, d)
+			}
 		}
 	}
-
-	// A nil-graph job with a custom NetworkSim is rejected: that
-	// similarity walks a live *graph.Graph.
-	ecfg := core.DefaultConfig()
-	ecfg.Pool.NetworkSim = func(g *graph.Graph, o, u graph.UserID) float64 { return 0 }
-	bad, err := NewScheduler(SchedulerConfig{Engine: ecfg, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Close()
-	adm, err := bad.Admit("mmap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := adm.Run(context.Background(), jobs[0]); err == nil {
-		t.Fatal("nil-graph job with custom NetworkSim accepted")
+	if reflect.DeepEqual(scores[0], scores[1]) {
+		t.Fatal("cosine scored every stranger like NS: the measure never reached the pool build")
 	}
 }
 

@@ -318,8 +318,7 @@ func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
 			s.logf("sightd: persist job %s: %v", j2.id, err)
 		}
 		st := j.snapshot()
-		j2.complete(st.Report, prior.QueriedCount())
-		s.persistFinal(j2)
+		s.completeJob(j2, st.Report, prior.QueriedCount())
 		s.logf("sightd: job %s revised as %s without recompute (no reachable updates)", j.id, j2.id)
 		writeJSON(w, http.StatusAccepted, j2.snapshot())
 		return

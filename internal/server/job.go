@@ -106,10 +106,17 @@ func (j *job) terminal() bool {
 	return st == client.StatusDone || st == client.StatusFailed
 }
 
+// setCancel installs the run's cancel function. A DELETE that arrived
+// before the job goroutine got here has nothing to call yet, so the
+// run is canceled on the spot.
 func (j *job) setCancel(cancel context.CancelFunc) {
 	j.mu.Lock()
 	j.cancel = cancel
+	canceled := j.userCanceled
 	j.mu.Unlock()
+	if canceled {
+		cancel()
+	}
 }
 
 // requestCancel implements DELETE: it marks the cancellation as

@@ -31,17 +31,27 @@ func (s *Server) persistJob(j *job) error {
 
 // persistFinal durably records a terminal outcome; failures are logged
 // rather than failing the job (the in-memory result is still served).
-func (s *Server) persistFinal(j *job) {
+func (s *Server) persistFinal(id string, fin FinalRecord) {
 	if s.store == nil || s.isKilled() {
 		return
 	}
-	st := j.snapshot()
-	err := s.store.PutFinal(j.id, FinalRecord{
-		Status: st.Status, Queries: st.Queries, Report: st.Report, Error: st.Error,
-	})
-	if err != nil {
-		s.logf("sightd: persist final state of %s: %v", j.id, err)
+	if err := s.store.PutFinal(id, fin); err != nil {
+		s.logf("sightd: persist final state of %s: %v", id, err)
 	}
+}
+
+// completeJob records a finished job's report durably, then publishes
+// it. The order matters: a client that sees "done" may rely on the
+// outcome surviving a restart.
+func (s *Server) completeJob(j *job, rep *client.Report, queries int) {
+	s.persistFinal(j.id, FinalRecord{Status: client.StatusDone, Queries: queries, Report: rep})
+	j.complete(rep, queries)
+}
+
+// failJob records a terminal error durably, then publishes it.
+func (s *Server) failJob(j *job, apiErr *client.APIError) {
+	s.persistFinal(j.id, FinalRecord{Status: client.StatusFailed, Queries: j.snapshot().Queries, Error: apiErr})
+	j.fail(apiErr)
 }
 
 // recoverJobs rebuilds job state from the store: finished jobs come

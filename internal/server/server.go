@@ -720,8 +720,7 @@ func (s *Server) runJob(j *job, adm *fleet.Admission, resume *core.Checkpoint) {
 	res, apiErr := s.resolve(&j.req)
 	if apiErr != nil {
 		adm.Cancel()
-		j.fail(apiErr)
-		s.persistFinal(j)
+		s.failJob(j, apiErr)
 		return
 	}
 	var (
@@ -772,10 +771,14 @@ func (s *Server) runJob(j *job, adm *fleet.Admission, resume *core.Checkpoint) {
 		ann = wireAnnotator{j: j}
 	}
 
+	snap := res.snap
+	if snap == nil {
+		// Inline network: freeze the request's own graph.
+		snap = res.net.Graph().Snapshot()
+	}
 	run, err := adm.Run(ctx, fleet.Job{
-		Graph:      res.net.Graph(),
+		Snapshot:   snap,
 		Store:      res.net.Profiles(),
-		Snapshot:   res.snap,
 		Owner:      j.owner,
 		Annotator:  ann,
 		Confidence: math.NaN(),
@@ -798,8 +801,7 @@ func (s *Server) runJob(j *job, adm *fleet.Admission, resume *core.Checkpoint) {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			code = "canceled"
 		}
-		j.fail(&client.APIError{Code: code, Message: err.Error()})
-		s.persistFinal(j)
+		s.failJob(j, &client.APIError{Code: code, Message: err.Error()})
 		return
 	}
 	if run.Partial && drained {
@@ -811,8 +813,7 @@ func (s *Server) runJob(j *job, adm *fleet.Admission, resume *core.Checkpoint) {
 	}
 	rep := client.FromReport(sight.AssembleReport(run))
 	j.setLastRun(run)
-	j.complete(rep, run.QueriedCount())
-	s.persistFinal(j)
+	s.completeJob(j, rep, run.QueriedCount())
 }
 
 // ---- response helpers ----

@@ -8,16 +8,16 @@ import (
 	"sightrisk/internal/graph"
 )
 
-// measureWorld builds a graph where users 1 and 2 share mutual friends
-// 10 and 11; 1 also knows 12 and 13.
-func measureWorld(t *testing.T) *graph.Graph {
+// measureWorld freezes a graph where users 1 and 2 share mutual
+// friends 10 and 11; 1 also knows 12 and 13.
+func measureWorld(t *testing.T) *graph.Snapshot {
 	t.Helper()
 	return build(t, [][2]graph.UserID{
 		{1, 10}, {1, 11}, {1, 12}, {1, 13},
 		{2, 10}, {2, 11},
 		{10, 50}, {10, 51}, // friend 10 is a small hub
 		{98, 99}, // disconnected pair: no mutual friends with anyone
-	})
+	}).Snapshot()
 }
 
 func TestCosine(t *testing.T) {
@@ -64,7 +64,7 @@ func TestAdamicAdar(t *testing.T) {
 		max += 1 / math.Log2(1+float64(g.Degree(f)))
 	}
 	want := (c10 + c11) / max
-	if math.Abs(got-want) > 1e-12 {
+	if got != want {
 		t.Fatalf("AdamicAdar = %g, want %g", got, want)
 	}
 	if got := AdamicAdar(g, 1, 99); got != 0 {
@@ -101,10 +101,11 @@ func TestAllMeasuresInUnitRange(t *testing.T) {
 			_ = g.AddEdge(a, b)
 		}
 	}
+	s := g.Snapshot()
 	for name, m := range Measures() {
 		for a := graph.UserID(0); a < n; a += 3 {
 			for b := a + 1; b < n; b += 2 {
-				v := m(g, a, b)
+				v := m(s, a, b)
 				if v < 0 || v > 1 || math.IsNaN(v) {
 					t.Fatalf("%s(%d,%d) = %g out of [0,1]", name, a, b, v)
 				}

@@ -2,14 +2,6 @@ package similarity
 
 import "sightrisk/internal/graph"
 
-// SnapshotMeasure is a network-similarity measure over a frozen graph
-// snapshot — the fast-path twin of NetworkMeasure. Every snapshot
-// measure returns exactly the value its graph twin returns on the
-// graph the snapshot was taken from (same integer counts feed the same
-// float expressions), so routing through a snapshot never changes
-// results.
-type SnapshotMeasure func(s *graph.Snapshot, a, b graph.UserID) float64
-
 // JaccardSnapshot is Jaccard over a frozen snapshot.
 func JaccardSnapshot(s *graph.Snapshot, a, b graph.UserID) float64 {
 	mutual := s.CountMutualFriends(a, b)

@@ -92,7 +92,7 @@ const (
 // LabelStranger calls — the owner is asked one question at a time —
 // and the question order is a deterministic function of the network
 // and options (identical across runs and across any Workers > 1;
-// Workers == 1 asks pool by pool in the legacy order). Interactive
+// Workers == 1 asks pool by pool, in pool order). Interactive
 // annotators therefore work unchanged. For reproducible reports the
 // annotator must be deterministic per stranger: asking about the same
 // stranger twice must yield the same label, and the label must not
@@ -464,11 +464,12 @@ type Options struct {
 	Seed int64
 	// Workers bounds how many pools are processed concurrently
 	// (weight-matrix builds and classifier solves). 0 means one worker
-	// per CPU (runtime.GOMAXPROCS(0)); 1 forces the exact legacy
-	// serial path. The resulting Report is identical for every value —
-	// pools keep their own seeded RNG streams, results merge in pool
-	// order, and annotator queries are serialized one at a time in a
-	// deterministic order (see Annotator).
+	// per CPU (runtime.GOMAXPROCS(0)); 1 runs the pools one after
+	// another, asking pool by pool and streaming Progress in pool
+	// order, as sightd does. The resulting Report is identical for
+	// every value — pools keep their own seeded RNG streams, results
+	// merge in pool order, and annotator queries are serialized one at
+	// a time in a deterministic order (see Annotator).
 	Workers int
 }
 
