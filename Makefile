@@ -29,7 +29,7 @@ test:
 # to the serial run. The throwaway JSON keeps tier-1 from dirtying the
 # checked-in numbers.
 bench-smoke:
-	$(GO) run ./cmd/riskbench -tenants 2 -scale small -tenant-rtt 0 -bench-out /tmp/BENCH_fleet_smoke.json
+	$(GO) run ./cmd/riskbench -mode fleet -tenants 2 -scale small -tenant-rtt 0 -out /tmp/BENCH_fleet_smoke.json
 
 # Paper tables: regenerate the headline and ablation tables and fail
 # unless they match the checked-in ablation_results.txt byte for byte
@@ -42,7 +42,7 @@ tables:
 # the event auditor attached and fail on the first divergent event
 # (see README "Observability").
 audit:
-	$(GO) run ./cmd/riskbench -audit -workers 4
+	$(GO) run ./cmd/riskbench -mode audit -workers 4
 
 # Documentation checks: vet plus godoc coverage of the public surface
 # (every exported identifier in the root package, client/ and the
@@ -57,7 +57,7 @@ docs:
 # serial runs. Doubles as the BENCH_serve methodology at small scale;
 # the throwaway JSON keeps tier-1 from dirtying the checked-in numbers.
 serve-smoke:
-	$(GO) run ./cmd/riskbench -serve-rtt -serve-out /tmp/BENCH_serve_smoke.json
+	$(GO) run ./cmd/riskbench -mode serve -out /tmp/BENCH_serve_smoke.json
 
 # Scale-curve smoke test: one small population through the whole
 # snapshot-file pipeline — generate straight into CSR, pack, mmap
@@ -65,7 +65,7 @@ serve-smoke:
 # byte-identity against the in-memory arrays. The real curve
 # (BENCH_scale.json, up to 10^6 nodes) comes from `make scale-bench`.
 scale-smoke:
-	$(GO) run ./cmd/riskbench -scale sweep -scale-sizes 10000 -scale-owners 2 -scale-out /tmp/BENCH_scale_smoke.json
+	$(GO) run ./cmd/riskbench -mode scale -sizes 10000 -scale-owners 2 -out /tmp/BENCH_scale_smoke.json
 
 # Cluster smoke test: a 2-replica in-process sightd cluster over one
 # shared checkpoint store, every owner routed by the consistent-hash
@@ -74,7 +74,7 @@ scale-smoke:
 # docs/CLUSTER.md). The throwaway JSON keeps tier-1 from dirtying the
 # checked-in numbers.
 cluster-smoke:
-	$(GO) run ./cmd/riskbench -nodes 2 -workers 2 -cluster-out /tmp/BENCH_cluster_smoke.json
+	$(GO) run ./cmd/riskbench -mode cluster -nodes 2 -workers 2 -out /tmp/BENCH_cluster_smoke.json
 
 # Incremental smoke test: one small network through the delta
 # pipeline — apply update batches, revise against the prior run, and
@@ -82,7 +82,7 @@ cluster-smoke:
 # real speedup curve (BENCH_incremental.json, 10^4-10^5 strangers)
 # comes from `make incremental-bench`.
 incremental-smoke:
-	$(GO) run ./cmd/riskbench -incremental -incr-sizes 2000 -incr-deltas 1,10 -incr-out /tmp/BENCH_incremental_smoke.json
+	$(GO) run ./cmd/riskbench -mode incremental -sizes 2000 -incr-deltas 1,10 -out /tmp/BENCH_incremental_smoke.json
 
 # Advise smoke test: one small network through the pre-acceptance
 # friendship-request evaluator — candidate edge on a cloned graph,
@@ -91,7 +91,7 @@ incremental-smoke:
 # table (BENCH_advise.json, 10^4 strangers, >=10x required) comes from
 # `make advise-bench`.
 advise-smoke:
-	$(GO) run ./cmd/riskbench -advise -advise-sizes 2000 -advise-out /tmp/BENCH_advise_smoke.json
+	$(GO) run ./cmd/riskbench -mode advise -sizes 2000 -out /tmp/BENCH_advise_smoke.json
 
 # LDP analytics smoke test: a short ε sweep of the /v1/stats estimator
 # stack — visibility-aware noise must beat the all-edge baseline for
@@ -99,7 +99,7 @@ advise-smoke:
 # triples must reproduce byte-identical releases. The real sweep
 # (BENCH_ldp.json, 200 trials per cell) comes from `make ldp-bench`.
 stats-smoke:
-	$(GO) run ./cmd/riskbench -ldp -ldp-trials 40 -ldp-strangers 800 -ldp-out /tmp/BENCH_ldp_smoke.json
+	$(GO) run ./cmd/riskbench -mode ldp -ldp-trials 40 -sizes 800 -out /tmp/BENCH_ldp_smoke.json
 
 race:
 	$(GO) test -race ./...
@@ -118,41 +118,41 @@ bench:
 # Fleet throughput trajectory: writes BENCH_fleet.json (see
 # EXPERIMENTS.md for methodology).
 fleet-bench:
-	$(GO) run ./cmd/riskbench -tenants 8 -scale medium
+	$(GO) run ./cmd/riskbench -mode fleet -scale medium
 
 # Serving-layer round trips: writes BENCH_serve.json (see
 # EXPERIMENTS.md for methodology).
 serve-bench:
-	$(GO) run ./cmd/riskbench -serve-rtt
+	$(GO) run ./cmd/riskbench -mode serve
 
 # Million-node scale curve: writes BENCH_scale.json (see EXPERIMENTS.md
 # "Scale curve" for methodology). Takes a few minutes.
 scale-bench:
-	$(GO) run ./cmd/riskbench -scale sweep
+	$(GO) run ./cmd/riskbench -mode scale
 
 # Cluster failover curve: replica counts 1, 2 and 4 with a mid-sweep
 # kill at N > 1; writes BENCH_cluster.json (see EXPERIMENTS.md
 # "Cluster failover" for methodology).
 cluster-bench:
-	$(GO) run ./cmd/riskbench -nodes 1,2,4 -scale medium
+	$(GO) run ./cmd/riskbench -mode cluster -scale medium
 
 # Incremental speedup curve: delta sizes 1/10/100 against 10^4- and
 # 10^5-stranger networks; writes BENCH_incremental.json (see
 # EXPERIMENTS.md "Incremental re-estimation" for methodology). Takes a
 # few minutes — the 10^5 full recomputes dominate.
 incremental-bench:
-	$(GO) run ./cmd/riskbench -incremental
+	$(GO) run ./cmd/riskbench -mode incremental
 
 # Advise speedup table: counterfactual friendship-request evaluation vs
 # full recompute at 10^4 strangers; fails unless the counterfactual is
 # at least 10x faster. Writes BENCH_advise.json (see EXPERIMENTS.md
 # "Pre-acceptance advise" for methodology).
 advise-bench:
-	$(GO) run ./cmd/riskbench -advise
+	$(GO) run ./cmd/riskbench -mode advise
 
 # ε-vs-accuracy sweep for the differentially private analytics:
 # visibility-aware noise against the all-edge baseline at ε in
 # {0.5, 1, 2, 4}; writes BENCH_ldp.json (see EXPERIMENTS.md
 # "ε vs accuracy" for methodology).
 ldp-bench:
-	$(GO) run ./cmd/riskbench -ldp
+	$(GO) run ./cmd/riskbench -mode ldp

@@ -608,7 +608,7 @@ type HealthResponse struct {
 // FromReport converts a library report into its wire form — the exact
 // encoding the server produces, so callers can compare a served run
 // against an in-process one byte for byte (the end-to-end tests and
-// riskbench -serve-rtt do).
+// riskbench -mode serve do).
 func FromReport(r *sight.Report) *Report {
 	out := &Report{
 		Owner:           int64(r.Owner),

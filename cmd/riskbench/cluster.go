@@ -1,6 +1,6 @@
 package main
 
-// Cluster benchmark mode (-nodes): stands up N in-process sightd
+// Cluster benchmark (cluster mode): stands up N in-process sightd
 // replicas over one shared checkpoint store, runs every owner through
 // the sharded serving tier via the client-side cluster router, and —
 // for N > 1 — kills one replica mid-sweep to measure failover. Every
@@ -17,17 +17,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	sight "sightrisk"
 	"sightrisk/client"
 	"sightrisk/internal/dataset"
 	"sightrisk/internal/faults"
 	"sightrisk/internal/graph"
-	"sightrisk/internal/label"
 	"sightrisk/internal/obs"
 	"sightrisk/internal/parallel"
 	"sightrisk/internal/place"
@@ -62,30 +58,41 @@ func (bh *benchHolder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // benchCluster is an in-process N-replica sightd cluster over one
-// shared state directory.
+// shared state directory, with the client-side router over all
+// replicas.
 type benchCluster struct {
-	nodes   []place.Node
-	srvs    []*server.Server
-	hss     []*httptest.Server
-	killed  []bool
-	metrics []*obs.Metrics
+	nodes    []place.Node
+	srvs     []*server.Server
+	hss      []*httptest.Server
+	killed   []bool
+	metrics  []*obs.Metrics
+	stateDir string
+	cl       *client.Cluster
 }
 
 // newBenchCluster stands up n replicas named n1..nN behind httptest
-// listeners, sharing stateDir. customize (optional) tweaks each node's
+// listeners, sharing a fresh state directory, each serving its own copy
+// of study as dataset "study". customize (optional) tweaks each node's
 // config before the server is built.
-func newBenchCluster(n, workers int, stateDir string, mk func() map[string]*dataset.Dataset, customize func(i int, cfg *server.Config)) (*benchCluster, error) {
+func newBenchCluster(n, workers int, study synthetic.StudyConfig, customize func(i int, cfg *server.Config)) (*benchCluster, error) {
+	stateDir, err := os.MkdirTemp("", "riskbench-cluster-")
+	if err != nil {
+		return nil, err
+	}
 	bc := &benchCluster{
-		srvs:    make([]*server.Server, n),
-		hss:     make([]*httptest.Server, n),
-		killed:  make([]bool, n),
-		metrics: make([]*obs.Metrics, n),
+		srvs:     make([]*server.Server, n),
+		hss:      make([]*httptest.Server, n),
+		killed:   make([]bool, n),
+		metrics:  make([]*obs.Metrics, n),
+		stateDir: stateDir,
 	}
 	holders := make([]*benchHolder, n)
+	var cns []client.ClusterNode
 	for i := 0; i < n; i++ {
 		holders[i] = &benchHolder{}
 		bc.hss[i] = httptest.NewServer(holders[i])
 		bc.nodes = append(bc.nodes, place.Node{ID: fmt.Sprintf("n%d", i+1), URL: bc.hss[i].URL})
+		cns = append(cns, client.ClusterNode{ID: bc.nodes[i].ID, URL: bc.nodes[i].URL})
 	}
 	for i := 0; i < n; i++ {
 		roster, err := place.NewRoster(bc.nodes[i].ID, bc.nodes)
@@ -93,9 +100,14 @@ func newBenchCluster(n, workers int, stateDir string, mk func() map[string]*data
 			bc.close()
 			return nil, err
 		}
+		_, ds, err := studyDataset(study)
+		if err != nil {
+			bc.close()
+			return nil, err
+		}
 		bc.metrics[i] = &obs.Metrics{}
 		cfg := server.Config{
-			Datasets:      mk(),
+			Datasets:      map[string]*dataset.Dataset{"study": ds},
 			Workers:       workers,
 			StateDir:      stateDir,
 			Cluster:       roster,
@@ -113,6 +125,10 @@ func newBenchCluster(n, workers int, stateDir string, mk func() map[string]*data
 		bc.srvs[i] = srv
 		holders[i].set(srv)
 	}
+	if bc.cl, err = client.NewCluster(cns); err != nil {
+		bc.close()
+		return nil, err
+	}
 	return bc, nil
 }
 
@@ -126,8 +142,10 @@ func (bc *benchCluster) kill(i int) {
 	bc.hss[i].Close()
 }
 
-// close drains every surviving node and shuts its listener.
+// close drains every surviving node, shuts its listener and removes
+// the state directory.
 func (bc *benchCluster) close() {
+	defer os.RemoveAll(bc.stateDir)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := range bc.hss {
@@ -139,15 +157,6 @@ func (bc *benchCluster) close() {
 		}
 		bc.hss[i].Close()
 	}
-}
-
-// client builds the client-side cluster router over all replicas.
-func (bc *benchCluster) client() (*client.Cluster, error) {
-	cns := make([]client.ClusterNode, len(bc.nodes))
-	for i, n := range bc.nodes {
-		cns[i] = client.ClusterNode{ID: n.ID, URL: n.URL}
-	}
-	return client.NewCluster(cns)
 }
 
 // clusterRun is one N-replica sweep's numbers in BENCH_cluster.json.
@@ -184,58 +193,17 @@ type clusterBenchReport struct {
 	Runs   []clusterRun `json:"runs"`
 }
 
-// serialBaseline runs every owner through the in-process library path
-// and returns the wire-encoded report bytes the served runs must
-// reproduce, plus throughput numbers.
-func serialBaseline(ctx context.Context, ds *dataset.Dataset) (map[graph.UserID][]byte, serveSide, error) {
-	net := sight.WrapNetwork(ds.Graph, ds.ProfileStore())
-	want := make(map[graph.UserID][]byte, len(ds.Owners))
-	queries := 0
-	start := time.Now()
-	for _, rec := range ds.Owners {
-		ann := dataset.StoredAnnotator{Labels: rec.Labels, Fallback: label.Risky}
-		rep, err := sight.EstimateRisk(ctx, net, rec.ID, ann, sight.DefaultOptions())
-		if err != nil {
-			return nil, serveSide{}, fmt.Errorf("serial baseline: owner %d: %w", rec.ID, err)
-		}
-		b, err := json.Marshal(client.FromReport(rep))
-		if err != nil {
-			return nil, serveSide{}, err
-		}
-		want[rec.ID] = b
-		queries += rep.LabelsRequested
-	}
-	elapsed := time.Since(start)
-	side := serveSide{
-		Owners:         len(ds.Owners),
-		Queries:        queries,
-		ElapsedMillis:  float64(elapsed) / float64(time.Millisecond),
-		OwnersPerSec:   float64(len(ds.Owners)) / elapsed.Seconds(),
-		MillisPerOwner: float64(elapsed) / float64(time.Millisecond) / float64(max(1, len(ds.Owners))),
-	}
-	return want, side, nil
-}
-
 // runClusterSweep runs every owner through an n-replica cluster as
 // stored-annotator jobs, killing one replica mid-sweep when kill is
 // set, and verifies every report against want.
-func runClusterSweep(ds *dataset.Dataset, want map[graph.UserID][]byte, n, workers int, kill bool, mk func() map[string]*dataset.Dataset) (clusterRun, error) {
+func runClusterSweep(ds *dataset.Dataset, want map[graph.UserID][]byte, n, workers int, kill bool, study synthetic.StudyConfig) (clusterRun, error) {
 	run := clusterRun{Nodes: n, Owners: len(ds.Owners), Identical: true}
-	stateDir, err := os.MkdirTemp("", "riskbench-cluster-")
-	if err != nil {
-		return run, err
-	}
-	defer os.RemoveAll(stateDir)
-
-	bc, err := newBenchCluster(n, workers, stateDir, mk, nil)
+	bc, err := newBenchCluster(n, workers, study, nil)
 	if err != nil {
 		return run, err
 	}
 	defer bc.close()
-	cl, err := bc.client()
-	if err != nil {
-		return run, err
-	}
+	cl := bc.cl
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 
@@ -291,14 +259,7 @@ func runClusterSweep(ds *dataset.Dataset, want map[graph.UserID][]byte, n, worke
 		if fin.Status != client.StatusDone {
 			return run, fmt.Errorf("cluster n=%d: owner %d ended %q: %v", n, p.owner, fin.Status, fin.Error)
 		}
-		got, err := json.Marshal(fin.Report)
-		if err != nil {
-			return run, err
-		}
-		if string(got) != string(want[p.owner]) {
-			run.Identical = false
-			fmt.Fprintf(os.Stderr, "riskbench: cluster n=%d report for owner %d differs from serial run\n", n, p.owner)
-		}
+		run.Identical = matches(want[p.owner], fin.Report, fmt.Sprintf("cluster n=%d", n), p.owner) && run.Identical
 		doneIDs[p.id] = true
 		completed++
 		if run.KilledNode != "" && p.node == run.KilledNode {
@@ -319,64 +280,44 @@ func runClusterSweep(ds *dataset.Dataset, want map[graph.UserID][]byte, n, worke
 	return run, nil
 }
 
-// runClusterBench is -nodes mode: the replica-count sweep with
+// runClusterBench is cluster mode: the replica-count sweep with
 // mid-sweep kills, verified byte-identical against the serial run.
-func runClusterBench(scale string, seed int64, workers int, nodesSpec, outPath string) error {
-	var counts []int
-	for _, f := range strings.Split(nodesSpec, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -nodes entry %q (want positive replica counts like \"1,2,4\")", f)
-		}
-		counts = append(counts, n)
-	}
-	if len(counts) == 0 {
-		return fmt.Errorf("-nodes is empty")
-	}
-
-	cfg, err := studyConfig(scale, seed)
+func runClusterBench(o opts) (any, error) {
+	counts, err := parseList("-nodes", o.nodes, atLeast(1))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	resolved := parallel.ResolveWorkers(workers)
-	fmt.Printf("riskbench: cluster mode — scale=%s seed=%d nodes=%v (server workers=%d)\n", scale, seed, counts, resolved)
-
-	study, err := synthetic.GenerateStudy(cfg)
+	cfg, err := studyConfig(o.scale, o.seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ds := dataset.FromStudy(study, true)
-	mk := func() map[string]*dataset.Dataset {
-		s, err := synthetic.GenerateStudy(cfg)
-		if err != nil {
-			panic(err) // same config just succeeded
-		}
-		return map[string]*dataset.Dataset{"study": dataset.FromStudy(s, true)}
+	resolved := parallel.ResolveWorkers(o.workers)
+	fmt.Printf("riskbench: cluster mode — scale=%s seed=%d nodes=%v (server workers=%d)\n", o.scale, o.seed, counts, resolved)
+
+	study, ds, err := studyDataset(cfg)
+	if err != nil {
+		return nil, err
 	}
 	fmt.Printf("riskbench: study: %d owners, %d strangers total\n", len(ds.Owners), study.TotalStrangers())
 
 	ctx := context.Background()
 	want, serial, err := serialBaseline(ctx, ds)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	report := clusterBenchReport{
-		Scale:   scale,
-		Seed:    seed,
+		Scale:   o.scale,
+		Seed:    o.seed,
 		Owners:  len(ds.Owners),
 		Workers: resolved,
 		Serial:  serial,
 	}
 	identical := true
 	for _, n := range counts {
-		run, err := runClusterSweep(ds, want, n, resolved, n > 1, mk)
+		run, err := runClusterSweep(ds, want, n, resolved, n > 1, cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		report.Runs = append(report.Runs, run)
 		identical = identical && run.Identical
@@ -398,22 +339,13 @@ func runClusterBench(scale string, seed int64, workers int, nodesSpec, outPath s
 	fmt.Println(t)
 	fmt.Printf("serial baseline: %.1f owners/s   identical reports: %v\n\n", serial.OwnersPerSec, identical)
 
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("riskbench: wrote %s\n", outPath)
 	if !identical {
-		return fmt.Errorf("clustered reports are not byte-identical to serial output")
+		return nil, fmt.Errorf("clustered reports are not byte-identical to serial output")
 	}
-	return nil
+	return report, nil
 }
 
-// auditCluster is the -audit leg for the serving cluster: one
+// auditCluster is the audit-mode leg for the serving cluster: one
 // remote-annotated job on a 2-node cluster, the owning replica killed
 // by a checkpoint tripwire mid-run, and the post-failover report
 // compared byte for byte against the uninterrupted single-node serial
@@ -423,11 +355,10 @@ func auditCluster(seed int64, workers int) (int, string, error) {
 	cfg := synthetic.SmallStudyConfig()
 	cfg.Owners = 1
 	cfg.Seed = seed
-	study, err := synthetic.GenerateStudy(cfg)
+	_, ds, err := studyDataset(cfg)
 	if err != nil {
 		return 0, "", err
 	}
-	ds := dataset.FromStudy(study, true)
 	rec := ds.Owners[0]
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
@@ -437,34 +368,18 @@ func auditCluster(seed int64, workers int) (int, string, error) {
 		return 0, "", err
 	}
 
-	stateDir, err := os.MkdirTemp("", "riskbench-cluster-audit-")
-	if err != nil {
-		return 0, "", err
-	}
-	defer os.RemoveAll(stateDir)
-
 	// Kill the owning replica right after its 3rd checkpoint flush — a
 	// few committed rounds, strictly mid-run.
 	killNow := make(chan struct{})
 	trip := faults.NewTripwire(3, func() { close(killNow) })
-	mk := func() map[string]*dataset.Dataset {
-		s, err := synthetic.GenerateStudy(cfg)
-		if err != nil {
-			panic(err) // same config just succeeded
-		}
-		return map[string]*dataset.Dataset{"study": dataset.FromStudy(s, true)}
-	}
-	bc, err := newBenchCluster(2, workers, stateDir, mk, func(i int, c *server.Config) {
+	bc, err := newBenchCluster(2, workers, cfg, func(i int, c *server.Config) {
 		c.OnCheckpoint = func(string) { trip.Observe() }
 	})
 	if err != nil {
 		return 0, "", err
 	}
 	defer bc.close()
-	cl, err := bc.client()
-	if err != nil {
-		return 0, "", err
-	}
+	cl := bc.cl
 	for _, c := range cl.Clients {
 		c.LongPoll = time.Second
 	}
@@ -475,19 +390,13 @@ func auditCluster(seed int64, workers int) (int, string, error) {
 		return 0, "", err
 	}
 
-	labels := rec.Labels
 	type driven struct {
 		rep *client.Report
 		err error
 	}
 	done := make(chan driven, 1)
 	go func() {
-		rep, err := cl.Drive(ctx, st.ID, func(stranger int64) (int, error) {
-			if l, ok := labels[graph.UserID(stranger)]; ok {
-				return int(l), nil
-			}
-			return int(label.Risky), nil
-		})
+		rep, err := cl.Drive(ctx, st.ID, answers(rec))
 		done <- driven{rep, err}
 	}()
 

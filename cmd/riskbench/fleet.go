@@ -1,6 +1,6 @@
 package main
 
-// Fleet benchmark mode (-tenants N): the multi-tenant scheduler that
+// Fleet benchmark (fleet mode): the multi-tenant scheduler that
 // sightd serves from (fleet.Scheduler) against the status-quo baseline
 // of running the same owner jobs one after another. Both sides run
 // identical jobs on content-identical studies, every question pays the
@@ -12,9 +12,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -74,6 +74,16 @@ type fleetSide struct {
 	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
 }
 
+func newFleetSide(owners, queries int, elapsed time.Duration) fleetSide {
+	return fleetSide{
+		Owners:        owners,
+		Queries:       queries,
+		ElapsedMillis: float64(elapsed) / float64(time.Millisecond),
+		OwnersPerSec:  float64(owners) / elapsed.Seconds(),
+		QueriesPerSec: float64(queries) / elapsed.Seconds(),
+	}
+}
+
 // tenantLatency is one tenant's job latency under the scheduler,
 // measured from admission to completion (queueing for a worker
 // included), so a starved tenant shows up as a long tail.
@@ -99,14 +109,18 @@ type fleetBenchReport struct {
 	Micro           map[string]microResult `json:"micro"`
 }
 
-func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Duration, outPath string) error {
-	cfg, err := studyConfig(scale, seed)
+func runFleetBench(o opts) (any, error) {
+	nTenants, workers, rtt := o.tenants, o.workers, o.tenantRTT
+	if nTenants < 1 {
+		return nil, fmt.Errorf("-tenants %d: need at least one tenant", nTenants)
+	}
+	cfg, err := studyConfig(o.scale, o.seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resolved := parallel.ResolveWorkers(workers)
 	fmt.Printf("riskbench: fleet mode — %d tenant replicas of scale=%s seed=%d (cpu workers=%d rtt=%v)\n",
-		nTenants, scale, seed, resolved, rtt)
+		nTenants, o.scale, o.seed, resolved, rtt)
 
 	genStart := time.Now()
 	studies := make([]*synthetic.Study, nTenants)
@@ -116,7 +130,7 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 		// concurrently running tenants.
 		s, err := synthetic.GenerateStudy(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		studies[i] = s
 	}
@@ -133,14 +147,11 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 	fleetWorkers := workers
 	totalJobs := nTenants * owners
 	if fleetWorkers <= 0 {
-		fleetWorkers = totalJobs
-		if fleetWorkers > 64 {
-			fleetWorkers = 64
-		}
+		fleetWorkers = min(totalJobs, 64)
 	}
 	sched, err := fleet.NewScheduler(fleet.SchedulerConfig{Engine: core.DefaultConfig(), Workers: fleetWorkers})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer sched.Close()
 
@@ -150,41 +161,40 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 	// submitting concurrently — so queueing for a worker slot is shared
 	// evenly and the per-tenant latencies show whether any tenant
 	// starves.
-	ids := make([]string, nTenants)
-	snaps := make([]*graph.Snapshot, nTenants)
-	for ti, s := range studies {
-		ids[ti] = fmt.Sprintf("tenant%02d", ti)
-		snaps[ti] = s.Graph.Snapshot()
+	type tenant struct {
+		id        string
+		snap      *graph.Snapshot
+		runs      []*core.OwnerRun
+		errs      []error
+		latencies []float64
 	}
-	fleetRuns := make([][]*core.OwnerRun, nTenants)
-	latencies := make([][]float64, nTenants)
-	errs := make([][]error, nTenants)
-	for ti := range studies {
-		fleetRuns[ti] = make([]*core.OwnerRun, owners)
-		latencies[ti] = make([]float64, owners)
-		errs[ti] = make([]error, owners)
+	tenants := make([]tenant, nTenants)
+	for ti, s := range studies {
+		tenants[ti] = tenant{fmt.Sprintf("tenant%02d", ti), s.Graph.Snapshot(),
+			make([]*core.OwnerRun, owners), make([]error, owners), make([]float64, owners)}
 	}
 	var wg sync.WaitGroup
 	fleetStart := time.Now()
 	for ji := 0; ji < owners; ji++ {
 		for ti, s := range studies {
-			adm, err := sched.Admit(ids[ti])
+			tn := &tenants[ti]
+			adm, err := sched.Admit(tn.id)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			start := time.Now()
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				o := s.Owners[ji]
-				fleetRuns[ti][ji], errs[ti][ji] = adm.Run(context.Background(), fleet.Job{
-					Snapshot:   snaps[ti],
+				tn.runs[ji], tn.errs[ji] = adm.Run(context.Background(), fleet.Job{
+					Snapshot:   tn.snap,
 					Store:      s.Profiles,
 					Owner:      o.ID,
 					Annotator:  annotatorFor(o, rtt),
 					Confidence: o.Confidence,
 				})
-				latencies[ti][ji] = float64(time.Since(start)) / float64(time.Millisecond)
+				tn.latencies[ji] = float64(time.Since(start)) / float64(time.Millisecond)
 			}()
 		}
 	}
@@ -192,20 +202,15 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 	fleetElapsed := time.Since(fleetStart)
 	fleetQueries := 0
 	tenantLat := make([]tenantLatency, nTenants)
-	for ti := range fleetRuns {
-		for ji, run := range fleetRuns[ti] {
-			if err := errs[ti][ji]; err != nil {
-				return fmt.Errorf("fleet: tenant %s job %d: %w", ids[ti], ji, err)
+	for ti, tn := range tenants {
+		for ji, run := range tn.runs {
+			if err := tn.errs[ji]; err != nil {
+				return nil, fmt.Errorf("fleet: tenant %s job %d: %w", tn.id, ji, err)
 			}
 			fleetQueries += run.QueriedCount()
 		}
-		tl := tenantLatency{Tenant: ids[ti], Jobs: owners, P50Millis: stats.Median(latencies[ti])}
-		for _, ms := range latencies[ti] {
-			if ms > tl.MaxMillis {
-				tl.MaxMillis = ms
-			}
-		}
-		tenantLat[ti] = tl
+		tenantLat[ti] = tenantLatency{Tenant: tn.id, Jobs: owners,
+			P50Millis: stats.Median(tn.latencies), MaxMillis: slices.Max(tn.latencies)}
 	}
 	cache := sched.Stats().Cache
 
@@ -224,7 +229,7 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 		for ji, o := range s.Owners {
 			run, err := engine.RunOwner(context.Background(), s.Graph, s.Profiles, o.ID, annotatorFor(o, rtt), o.Confidence)
 			if err != nil {
-				return fmt.Errorf("serial baseline: tenant %d owner %d: %w", ti, o.ID, err)
+				return nil, fmt.Errorf("serial baseline: tenant %d owner %d: %w", ti, o.ID, err)
 			}
 			serialRuns[ti][ji] = run
 			serialQueries += run.QueriedCount()
@@ -235,7 +240,7 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 	identical := true
 	for ti := range serialRuns {
 		for ji, want := range serialRuns[ti] {
-			if d := core.DiffRuns(fleetRuns[ti][ji], want); d != "" {
+			if d := core.DiffRuns(tenants[ti].runs[ji], want); d != "" {
 				identical = false
 				fmt.Fprintf(os.Stderr, "riskbench: fleet output differs from serial for tenant %d owner %d: %s\n",
 					ti, want.Owner, d)
@@ -243,27 +248,18 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 		}
 	}
 
-	perSec := func(n int, d time.Duration) float64 { return float64(n) / d.Seconds() }
-	fleetOPS, fleetQPS := perSec(totalJobs, fleetElapsed), perSec(fleetQueries, fleetElapsed)
-	serialOPS, serialQPS := perSec(totalJobs, serialElapsed), perSec(serialQueries, serialElapsed)
-	speedup := fleetOPS / serialOPS
+	fleetS, serialS := newFleetSide(totalJobs, fleetQueries, fleetElapsed), newFleetSide(totalJobs, serialQueries, serialElapsed)
+	fleetS.CacheEntries, fleetS.CacheHitRate = cache.Entries, cache.HitRate()
+	speedup := fleetS.OwnersPerSec / serialS.OwnersPerSec
 
 	t := stats.NewTable("Fleet throughput — fleet.Scheduler vs sequential single-owner runs (identical per-owner reports)",
 		"mode", "owners", "queries", "elapsed", "owners/sec", "queries/sec", "cache hits")
-	t.AddRow("fleet",
-		fmt.Sprintf("%d", totalJobs),
-		fmt.Sprintf("%d", fleetQueries),
-		fleetElapsed.Round(time.Millisecond).String(),
-		fmt.Sprintf("%.2f", fleetOPS),
-		fmt.Sprintf("%.1f", fleetQPS),
-		stats.Pct(cache.HitRate()))
-	t.AddRow("serial",
-		fmt.Sprintf("%d", totalJobs),
-		fmt.Sprintf("%d", serialQueries),
-		serialElapsed.Round(time.Millisecond).String(),
-		fmt.Sprintf("%.2f", serialOPS),
-		fmt.Sprintf("%.1f", serialQPS),
-		"-")
+	row := func(name string, s fleetSide, elapsed time.Duration, hits string) {
+		t.AddRow(name, fmt.Sprintf("%d", s.Owners), fmt.Sprintf("%d", s.Queries), elapsed.Round(time.Millisecond).String(),
+			fmt.Sprintf("%.2f", s.OwnersPerSec), fmt.Sprintf("%.1f", s.QueriesPerSec), hits)
+	}
+	row("fleet", fleetS, fleetElapsed, stats.Pct(cache.HitRate()))
+	row("serial", serialS, serialElapsed, "-")
 	fmt.Println(t)
 	lt := stats.NewTable("Fleet job latency per tenant — admission to completion",
 		"tenant", "jobs", "p50", "max")
@@ -276,7 +272,10 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 		speedup, fleetWorkers, cache.Entries, identical)
 
 	fmt.Println("riskbench: micro-benchmarks (reference vs optimized hot paths)...")
-	micro := microBenches(seed)
+	micro, err := microBenches(o.seed)
+	if err != nil {
+		return nil, fmt.Errorf("micro-benchmarks: %w", err)
+	}
 	for _, name := range []string{"montecarlo_map", "montecarlo_snapshot", "ps_matrix_pairwise", "ps_matrix_indexed"} {
 		m := micro[name]
 		fmt.Printf("  %-22s %12d ns/op %10d B/op %8d allocs/op\n", name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
@@ -284,60 +283,37 @@ func runFleetBench(scale string, seed int64, nTenants, workers int, rtt time.Dur
 	fmt.Println()
 
 	report := fleetBenchReport{
-		Scale:           scale,
-		Seed:            seed,
+		Scale:           o.scale,
+		Seed:            o.seed,
 		Tenants:         nTenants,
 		OwnersPerTenant: owners,
 		Workers:         resolved,
 		RTTMillis:       float64(rtt) / float64(time.Millisecond),
-		Fleet: fleetSide{
-			Owners:        totalJobs,
-			Queries:       fleetQueries,
-			ElapsedMillis: float64(fleetElapsed) / float64(time.Millisecond),
-			OwnersPerSec:  fleetOPS,
-			QueriesPerSec: fleetQPS,
-			CacheEntries:  cache.Entries,
-			CacheHitRate:  cache.HitRate(),
-		},
-		TenantLatency: tenantLat,
-		Serial: fleetSide{
-			Owners:        totalJobs,
-			Queries:       serialQueries,
-			ElapsedMillis: float64(serialElapsed) / float64(time.Millisecond),
-			OwnersPerSec:  serialOPS,
-			QueriesPerSec: serialQPS,
-		},
-		Speedup:   speedup,
-		Identical: identical,
-		Micro:     micro,
+		Fleet:           fleetS,
+		TenantLatency:   tenantLat,
+		Serial:          serialS,
+		Speedup:         speedup,
+		Identical:       identical,
+		Micro:           micro,
 	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("riskbench: wrote %s\n", outPath)
 	if !identical {
-		return fmt.Errorf("fleet reports are not byte-identical to serial output")
+		return nil, fmt.Errorf("fleet reports are not byte-identical to serial output")
 	}
-	return nil
+	return report, nil
 }
 
 // microBenches times the two optimized hot paths against their
 // retained reference implementations on a small fixed-size study, via
 // testing.Benchmark, so the speedups land in BENCH_fleet.json next to
 // the fleet numbers.
-func microBenches(seed int64) map[string]microResult {
+func microBenches(seed int64) (map[string]microResult, error) {
 	cfg := synthetic.SmallStudyConfig()
 	cfg.Owners = 1
 	cfg.Ego.Strangers = 400
 	cfg.Seed = seed
 	study, err := synthetic.GenerateStudy(cfg)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	g := study.Graph
 	store := study.Profiles
@@ -356,38 +332,28 @@ func microBenches(seed int64) map[string]microResult {
 	}
 	psctx := similarity.NewPSContext(store, ids, nil)
 
-	record := func(f func(b *testing.B)) microResult {
-		r := testing.Benchmark(f)
+	// loop times f per iteration, allocations included.
+	loop := func(f func() error) microResult {
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := f(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 		return microResult{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp()}
 	}
 	return map[string]microResult{
-		"montecarlo_map": record(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := propagation.MonteCarloReference(g, owner.ID, targets, pcfg); err != nil {
-					b.Fatal(err)
-				}
-			}
+		"montecarlo_map": loop(func() error {
+			_, err := propagation.MonteCarloReference(g, owner.ID, targets, pcfg)
+			return err
 		}),
-		"montecarlo_snapshot": record(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := propagation.MonteCarlo(snap, owner.ID, targets, pcfg); err != nil {
-					b.Fatal(err)
-				}
-			}
+		"montecarlo_snapshot": loop(func() error {
+			_, err := propagation.MonteCarlo(snap, owner.ID, targets, pcfg)
+			return err
 		}),
-		"ps_matrix_pairwise": record(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				psctx.MatrixReference(profiles)
-			}
-		}),
-		"ps_matrix_indexed": record(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				psctx.Matrix(profiles)
-			}
-		}),
-	}
+		"ps_matrix_pairwise": loop(func() error { psctx.MatrixReference(profiles); return nil }),
+		"ps_matrix_indexed":  loop(func() error { psctx.Matrix(profiles); return nil }),
+	}, nil
 }

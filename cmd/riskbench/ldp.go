@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"sightrisk/internal/ldp"
@@ -84,90 +81,52 @@ func ldpReportBytes(e *ldp.Estimator, p ldp.Params, seed ldp.Seed) ([]byte, erro
 	return json.Marshal(r)
 }
 
-// runLDPBench is -ldp mode: on one synthetic population with the
+// runLDPBench is ldp mode: on one synthetic population with the
 // generator's realistic visibility mix it sweeps ε over -ldp-eps and,
 // per ε, measures the RMS relative error of every released statistic
 // over -ldp-trials noise epochs — visibility-aware noise against the
 // all-edge baseline. The sweep must show visibility-aware strictly
-// more accurate for every statistic at every ε (non-zero exit
-// otherwise), the same release identity must reproduce byte-identical
-// releases while a fresh epoch, a bumped generation or a different ε
-// must not, and two ε at one epoch must not be linearly solvable for
-// the exact truth. The table goes to stdout and to outPath.
-func runLDPBench(epsSpec string, trials, strangers int, seed int64, outPath string) error {
-	var epsilons []float64
-	for _, s := range strings.Split(epsSpec, ",") {
-		e, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || e <= 0 {
-			return fmt.Errorf("bad -ldp-eps entry %q", s)
-		}
-		epsilons = append(epsilons, e)
+// more accurate for every statistic at every ε, and the estimator must
+// pass the audit's reproducibility and two-ε probes (ldpReproducible).
+func runLDPBench(o opts) (any, error) {
+	sizes, err := parseList("-sizes", o.sizes, atLeast(50))
+	if err != nil {
+		return nil, err
 	}
-	if trials < 10 {
-		return fmt.Errorf("-ldp-trials %d is too few for a stable RMS estimate", trials)
+	if len(sizes) != 1 {
+		return nil, fmt.Errorf("-mode ldp takes one -sizes value, got %d", len(sizes))
+	}
+	strangers := sizes[0]
+	epsilons, err := parseList("-ldp-eps", o.eps, func(e float64) bool { return e > 0 })
+	if err != nil {
+		return nil, err
+	}
+	if o.trials < 10 {
+		return nil, fmt.Errorf("-ldp-trials %d is too few for a stable RMS estimate", o.trials)
 	}
 
-	study, _, err := incrStudy(strangers, seed)
+	study, _, err := egoStudy(strangers, o.seed)
 	if err != nil {
-		return fmt.Errorf("generate %d: %w", strangers, err)
+		return nil, fmt.Errorf("generate %d: %w", strangers, err)
 	}
 	est := ldp.NewEstimator(study.Graph.Snapshot(), study.Profiles)
 	if est.PublicUsers() == 0 || est.PublicUsers() == est.Nodes() {
-		return fmt.Errorf("population has no visibility mix (%d/%d public); the sweep would be vacuous",
+		return nil, fmt.Errorf("population has no visibility mix (%d/%d public); the sweep would be vacuous",
 			est.PublicUsers(), est.Nodes())
 	}
 	exact := est.Exact()
-
-	// Reproducibility leg: the same release identity serves identical
-	// bytes; a fresh epoch or a bumped dataset generation draws fresh
-	// noise.
-	p1 := ldp.Params{Epsilon: 1, Mode: ldp.ModeVisibilityAware}
-	a, err := ldpReportBytes(est, p1, ldp.SeedFor("bench", "ldp", 1, 0, p1))
+	_, detail, err := ldpReproducible(est)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	b, err := ldpReportBytes(est, p1, ldp.SeedFor("bench", "ldp", 1, 0, p1))
-	if err != nil {
-		return err
-	}
-	c, err := ldpReportBytes(est, p1, ldp.SeedFor("bench", "ldp", 2, 0, p1))
-	if err != nil {
-		return err
-	}
-	if string(a) != string(b) {
-		return fmt.Errorf("reproducibility: identical release identity produced different releases")
-	}
-	if string(a) == string(c) {
-		return fmt.Errorf("reproducibility: a fresh epoch reproduced the previous noise")
-	}
-	g, err := ldpReportBytes(est, p1, ldp.SeedFor("bench", "ldp", 1, 1, p1))
-	if err != nil {
-		return err
-	}
-	if string(a) == string(g) {
-		return fmt.Errorf("reproducibility: a bumped dataset generation reproduced the previous noise")
-	}
-	// Correlated-noise probe: if two ε at the same epoch shared their
-	// standardized draws, T = (ε₁v₁ − ε₂v₂)/(ε₁ − ε₂) would recover the
-	// exact edge count (docs/ANALYTICS.md §3). It must not.
-	p2 := ldp.Params{Epsilon: 2, Mode: ldp.ModeVisibilityAware}
-	r1, err := est.Report(p1, ldp.SeedFor("bench", "ldp", 1, 0, p1))
-	if err != nil {
-		return err
-	}
-	r2, err := est.Report(p2, ldp.SeedFor("bench", "ldp", 1, 0, p2))
-	if err != nil {
-		return err
-	}
-	recon := (p1.Epsilon*r1.EdgeCount.Value - p2.Epsilon*r2.EdgeCount.Value) / (p1.Epsilon - p2.Epsilon)
-	if math.Abs(recon-exact.EdgeCount.Value) < 1e-6 {
-		return fmt.Errorf("correlated noise: two-ε reconstruction recovered the exact edge count %g", exact.EdgeCount.Value)
+	if detail != "" {
+		return nil, fmt.Errorf("reproducibility: %s", detail)
 	}
 
 	bench := ldpBench{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Seed:        seed,
-		Trials:      trials,
+		Seed:        o.seed,
+		Trials:      o.trials,
 		Strangers:   strangers,
 		Nodes:       est.Nodes(),
 		PublicUsers: est.PublicUsers(),
@@ -175,13 +134,13 @@ func runLDPBench(epsSpec string, trials, strangers int, seed int64, outPath stri
 		Edges:       int64(exact.EdgeCount.Value),
 	}
 	fmt.Printf("riskbench: ldp sweep eps=%v trials=%d strangers=%d nodes=%d public=%d (%d public / %d total friendships)\n",
-		epsilons, trials, strangers, bench.Nodes, bench.PublicUsers, bench.PublicEdges, bench.Edges)
+		epsilons, o.trials, strangers, bench.Nodes, bench.PublicUsers, bench.PublicEdges, bench.Edges)
 	fmt.Printf("%8s %-12s %18s %14s %8s\n", "epsilon", "stat", "visibility-aware", "all-edge", "gain")
 
 	for _, eps := range epsilons {
 		rms := map[ldp.Mode]map[string]float64{ldp.ModeVisibilityAware: {}, ldp.ModeAllEdge: {}}
 		for mode, acc := range rms {
-			for k := 0; k < trials; k++ {
+			for k := 0; k < o.trials; k++ {
 				// One raw seed shared by both modes per trial: the
 				// common-random-numbers pairing (noise.go) that makes
 				// the strict ordering below deterministic rather than
@@ -192,14 +151,14 @@ func runLDPBench(epsSpec string, trials, strangers int, seed int64, outPath stri
 				// two wire releases ever share draws.
 				r, err := est.Report(ldp.Params{Epsilon: eps, Mode: mode}, ldp.Seed(uint64(k)+1))
 				if err != nil {
-					return err
+					return nil, err
 				}
 				for stat, e := range ldpErrors(exact, r, bench.Nodes) {
 					acc[stat] += e * e
 				}
 			}
 			for stat := range acc {
-				acc[stat] = math.Sqrt(acc[stat] / float64(trials))
+				acc[stat] = math.Sqrt(acc[stat] / float64(o.trials))
 			}
 		}
 		for _, stat := range ldpStatNames {
@@ -211,42 +170,31 @@ func runLDPBench(epsSpec string, trials, strangers int, seed int64, outPath stri
 			fmt.Printf("%8g %-12s %17.4f%% %13.4f%% %7.2fx\n", eps, stat, 100*va, 100*all, row.Improvement)
 			bench.Rows = append(bench.Rows, row)
 			if va >= all {
-				return fmt.Errorf("ldp sweep at eps=%g: visibility-aware %s error %.6f is not below the all-edge baseline %.6f",
+				return nil, fmt.Errorf("ldp sweep at eps=%g: visibility-aware %s error %.6f is not below the all-edge baseline %.6f",
 					eps, stat, va, all)
 			}
 		}
 	}
-
-	out, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(bench); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("riskbench: wrote %s (%d rows)\n", outPath, len(bench.Rows))
-	return nil
+	return bench, nil
 }
 
-// auditLDP is the ldp leg of -audit mode: a small population, and per
-// parameter set two independent release computations byte-compared
-// (same release identity must reproduce; a fresh epoch or a bumped
-// dataset generation must not), plus the correlated-noise probe — two
-// ε at one epoch must not be linearly solvable for the exact private
-// edge count. Returns the number of releases checked and a divergence
-// description ("" on pass).
+// auditLDP is the ldp leg of audit mode: ldpReproducible on a small
+// population's estimator.
 func auditLDP(seed int64) (int, string, error) {
-	study, _, err := incrStudy(300, seed)
+	study, _, err := egoStudy(300, seed)
 	if err != nil {
 		return 0, "", err
 	}
-	est := ldp.NewEstimator(study.Graph.Snapshot(), study.Profiles)
+	return ldpReproducible(ldp.NewEstimator(study.Graph.Snapshot(), study.Profiles))
+}
+
+// ldpReproducible byte-compares two independent release computations
+// per parameter set (the same release identity must reproduce; a fresh
+// epoch or a bumped dataset generation must not), then runs the
+// correlated-noise probe: two ε at one epoch must not be linearly
+// solvable for the exact private edge count. Returns the number of
+// releases checked and a divergence description ("" on pass).
+func ldpReproducible(est *ldp.Estimator) (int, string, error) {
 	releases := 0
 	for _, p := range []ldp.Params{
 		{Epsilon: 0.5, Mode: ldp.ModeVisibilityAware},

@@ -1,558 +1,253 @@
 // Command riskbench regenerates every table and figure of the paper's
-// evaluation (Section IV) on the synthetic study population and prints
-// each next to the paper's reported values.
+// evaluation (Section IV) on the synthetic study population, prints
+// each next to the paper's reported values, and runs the benchmarks
+// behind the checked-in BENCH_*.json files.
 //
 // Usage:
 //
-//	riskbench [-scale small|medium|full|sweep] [-seed N] [-only fig4,table1,...] [-workers N]
-//	          [-fault-prob P] [-fault-latency D] [-fault-abandon N] [-fault-seed N] [-fault-retries N]
-//	          [-tenants N] [-tenant-rtt D] [-bench-out FILE]
-//	          [-serve-rtt] [-serve-out FILE]
-//	          [-scale-sizes 10000,...] [-scale-out FILE]
+//	riskbench [-mode paper|audit|fleet|serve|cluster|scale|incremental|advise|ldp]
+//	          [-seed N] [-workers N] [-scale small|medium|full] [-out FILE] [-sizes N,...]
+//	  paper:       [-only fig4,table1,...] [-rounds N] [-ablations] [-times=false]
+//	               [-fault-prob P] [-fault-latency D] [-fault-abandon N] [-fault-seed N] [-fault-retries N]
+//	               [-trace-out FILE] [-metrics-out FILE]
+//	  fleet:       [-tenants N] [-tenant-rtt D]
+//	  cluster:     [-nodes 1,2,4]
+//	  scale:       [-scale-owners N]
+//	  incremental: [-incr-deltas 1,10,100]
+//	  ldp:         [-ldp-eps 0.5,1,2,4] [-ldp-trials N]
 //
-// With -tenants N the command switches to fleet-benchmark mode: it
-// replicates the study for N tenants, runs every owner through the
-// multi-tenant scheduler sightd serves from (fleet.Scheduler, one
-// shared weight cache, every question paying a simulated annotator
-// round-trip), then re-runs the same jobs sequentially, verifies the
-// per-owner reports are byte-identical, and writes throughput,
-// per-tenant job latency and micro-benchmark numbers to
-// BENCH_fleet.json.
+// A flag that the chosen mode does not read is an error.
 //
-// With -serve-rtt it benchmarks the serving layer instead: an
-// in-process sightd (internal/server) serves every owner over the
-// HTTP API — once with the server-side stored annotator, once with the
-// owner answering long-polled questions over the wire — verifies the
-// served reports byte-identical to in-process serial runs, and writes
-// endpoint latency plus per-question round-trip cost to
-// BENCH_serve.json.
+// Modes:
 //
-// With -incremental it benchmarks the incremental re-estimation
-// engine: per -incr-sizes stranger count it runs one owner to
-// completion, then per -incr-deltas batch size applies that many
-// graph/profile updates and measures a full recompute against
-// delta.Revise on the same post-batch graph. The revised run must be
-// byte-identical to the full recompute every time (non-zero exit
-// otherwise); the full-vs-incremental speedup curve goes to
-// BENCH_incremental.json.
+//   - paper (default) prints the paper's tables. The full scale
+//     matches the paper's population (47 owners, mean 3,661 strangers
+//     each, ~172k stranger profiles) and takes a few minutes; small
+//     runs in seconds. The -fault-* flags wrap every owner's annotator
+//     in a seeded fault injector (transient failures, latency,
+//     mid-session abandonment); the "faults" step reports the retry
+//     overhead next to a clean baseline.
+//   - audit runs the robustness matrix twice per topology with the
+//     event auditor attached, then the snapfile, cluster-failover,
+//     incremental, advise and LDP legs, and reports the first
+//     divergence.
+//   - fleet replicates the study for -tenants tenants, runs every owner
+//     through fleet.Scheduler (the scheduler sightd serves from, every
+//     question paying -tenant-rtt), re-runs the same jobs one after
+//     another, and records throughput, per-tenant job latency and
+//     micro-benchmarks.
+//   - serve runs every owner through an in-process sightd over HTTP,
+//     once with the stored annotator and once with the owner answering
+//     long-polled questions, and records endpoint and round-trip cost.
+//   - cluster runs every owner through an in-process N-replica sightd
+//     per -nodes count over one shared checkpoint store, killing one
+//     replica mid-sweep when N > 1, and records recovery latency.
+//   - scale generates a SNAP-Facebook-like graph per -sizes population
+//     straight into CSR, packs it into a snapshot file, measures mmap
+//     open against JSON load and runs the benchmark owners off the
+//     mapped pages. Sizes that do not fit in available memory are
+//     skipped with a message.
+//   - incremental applies update batches of each -incr-deltas size to
+//     a one-owner network per -sizes count and times a full recompute
+//     against delta.Revise.
+//   - advise evaluates one pre-acceptance friendship request per -sizes
+//     count by full counterfactual recompute and by delta.Revise, and
+//     requires the revision to be at least 10x faster at 10^4 strangers
+//     and above.
+//   - ldp sweeps ε over -ldp-eps on one -sizes population and measures
+//     the error of every /v1/stats statistic under visibility-aware
+//     noise against the all-edge baseline over -ldp-trials epochs.
 //
-// With -advise it benchmarks the pre-acceptance friendship-request
-// evaluator behind POST /v1/advise: per -advise-sizes stranger count
-// it runs one owner to completion, picks a candidate from the
-// stranger list, applies the (owner, candidate) edge to a clone of the
-// graph, and measures a full counterfactual recompute against
-// delta.Revise riding the prior run. The revision must be
-// byte-identical to the full recompute, the rendered advise assessment
-// must be byte-identical at workers 1, 2 and 4, and at 10^4 strangers
-// and above the counterfactual must be at least 10x faster than the
-// full recompute (non-zero exit otherwise); the speedup table goes to
-// BENCH_advise.json.
-//
-// With -ldp it benchmarks the differentially private analytics behind
-// GET/POST /v1/stats (internal/ldp): on one synthetic population it
-// sweeps ε over -ldp-eps and measures, per ε and per released
-// statistic, the RMS relative error of the visibility-aware release
-// against the all-edge baseline over -ldp-trials noise epochs —
-// asserting visibility-aware strictly more accurate for every
-// statistic at every ε and that repeated release identities reproduce
-// byte-identical releases while fresh epochs, bumped generations and
-// different ε draw independent noise (non-zero exit otherwise). The
-// sweep goes to BENCH_ldp.json.
-//
-// With -scale sweep the command runs the million-node scale curve
-// instead: per -scale-sizes population it generates a
-// SNAP-Facebook-like graph straight into CSR, packs it into a
-// graph/snapfile container, measures mmap open against JSON load,
-// runs the benchmark owners off the mapped pages, asserts the
-// mmap-backed reports byte-identical to in-memory ones at the smaller
-// sizes, and writes the curve to BENCH_scale.json. Sizes that do not
-// fit in available memory are refused with a clear message instead of
-// thrashing.
-//
-// The full scale matches the paper's population (47 owners, mean 3,661
-// strangers each, ~172k stranger profiles) and takes a few minutes;
-// small (default) runs in seconds. The -fault-* flags wrap every
-// owner's annotator in a seeded fault injector (transient failures,
-// latency, mid-session abandonment) so the robustness machinery can be
-// exercised against any experiment; the dedicated "faults" step
-// reports the retry overhead next to a clean baseline.
+// Every benchmark mode checks its gates before anything is written:
+// reports byte-identical to the serial or full-recompute run (and, for
+// advise, at workers 1, 2 and 4), the advise speedup, LDP dominance in
+// every cell plus seeded reproducibility. A failed gate exits non-zero
+// and leaves the -out file (default BENCH_<mode>.json) as it was.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
-	"sightrisk/internal/active"
-	"sightrisk/internal/core"
-	"sightrisk/internal/experiments"
+	"sightrisk/internal/dataset"
 	"sightrisk/internal/faults"
-	"sightrisk/internal/obs"
-	"sightrisk/internal/parallel"
-	"sightrisk/internal/profile"
-	"sightrisk/internal/stats"
 	"sightrisk/internal/synthetic"
 )
 
+// opts carries every flag value to the mode that reads it.
+type opts struct {
+	scale   string
+	seed    int64
+	workers int
+	out     string
+	sizes   string
+
+	only         string
+	rounds       int
+	ablations    bool
+	times        bool
+	fault        faults.Config
+	faultRetries int
+	traceOut     string
+	metricsOut   string
+
+	tenants     int
+	tenantRTT   time.Duration
+	nodes       string
+	scaleOwners int
+	deltas      string
+	eps         string
+	trials      int
+}
+
+// mode is one thing riskbench can run. A mode returns the document to
+// write to -out (nil for none) or the error that failed it.
+type mode struct {
+	name  string
+	run   func(opts) (any, error)
+	sizes string // default -sizes; "" when the mode takes no sizes
+	flags string // the mode-specific flags it reads
+}
+
+var modes = []mode{
+	{name: "paper", run: runPaper, flags: "scale only rounds ablations times fault-prob fault-latency fault-abandon fault-seed fault-retries trace-out metrics-out"},
+	{name: "audit", run: runAudit},
+	{name: "fleet", run: runFleetBench, flags: "out scale tenants tenant-rtt"},
+	{name: "serve", run: runServeBench, flags: "out scale"},
+	{name: "cluster", run: runClusterBench, flags: "out scale nodes"},
+	{name: "scale", run: runScaleBench, sizes: "10000,100000,316000,1000000", flags: "out sizes scale-owners"},
+	{name: "incremental", run: runIncrementalBench, sizes: "10000,100000", flags: "out sizes incr-deltas"},
+	{name: "advise", run: runAdviseBench, sizes: "2000,10000", flags: "out sizes"},
+	{name: "ldp", run: runLDPBench, sizes: "2000", flags: "out sizes ldp-eps ldp-trials"},
+}
+
 func main() {
-	scale := flag.String("scale", "small", "population scale: small, medium or full")
+	name := flag.String("mode", "paper", "what to run: paper, audit, fleet, serve, cluster, scale, incremental, advise or ldp")
 	seed := flag.Int64("seed", 1, "study generation seed")
+	workers := flag.Int("workers", 0, "concurrent per-pool workers in the risk engine (0 = one per CPU, 1 = pools one after another); server workers in serve and cluster modes")
+	scale := flag.String("scale", "small", "paper, fleet, serve and cluster modes: study scale: small, medium or full")
+	out := flag.String("out", "", "benchmark modes: where to write the JSON, once every gate passed (default BENCH_<mode>.json)")
+	sizes := flag.String("sizes", "", "scale, incremental, advise and ldp modes: comma-separated population sizes (nodes for scale, strangers otherwise; ldp takes one); default 10000,100000,316000,1000000 for scale, 10000,100000 for incremental, 2000,10000 for advise, 2000 for ldp")
 	only := flag.String("only", "", "comma-separated experiment ids (fig4 fig5 fig6 fig7 headline table1 table2 table3 table4 table5 contrast dynamics robustness faults); empty = all")
 	rounds := flag.Int("rounds", 8, "x-axis length for fig5/fig6")
 	ablations := flag.Bool("ablations", false, "also run the DESIGN.md §5 ablations (classifiers, alpha, beta, stopping rule, weight exponent, Squeezer weights, pool strategy)")
-	workers := flag.Int("workers", 0, "concurrent per-pool workers in the risk engine (0 = one per CPU, 1 = pools one after another)")
 	times := flag.Bool("times", true, "report per-stage wall time")
 	faultProb := flag.Float64("fault-prob", 0, "inject transient annotator failures with this per-query probability")
 	faultLatency := flag.Duration("fault-latency", 0, "inject this much latency into every annotator answer")
 	faultAbandon := flag.Int("fault-abandon", 0, "owners abandon after this many answers per run (0 = never)")
 	faultSeed := flag.Int64("fault-seed", 7, "fault-injection seed")
 	faultRetries := flag.Int("fault-retries", 10, "retry attempts configured when -fault-prob is set")
-	tenants := flag.Int("tenants", 0, "fleet mode: run N tenant replicas through the multi-tenant scheduler and compare against sequential single-owner runs (skips the experiment steps)")
-	tenantRTT := flag.Duration("tenant-rtt", 20*time.Millisecond, "fleet mode: simulated annotator round-trip latency every question pays, on both the scheduler and the serial baseline; 0 disables it")
-	benchOut := flag.String("bench-out", "BENCH_fleet.json", "fleet mode: where to write the throughput trajectory JSON")
 	traceOut := flag.String("trace-out", "", "write the structured run-event stream (JSONL, one event per line) to this file")
 	metricsOut := flag.String("metrics-out", "", "write the per-stage metrics snapshot (JSON) to this file at exit")
-	audit := flag.Bool("audit", false, "determinism-audit mode: run the robustness matrix twice per topology with the event auditor attached, plus an mmap-vs-in-memory snapshot-file run, and report the first divergence (skips the experiment steps; non-zero exit on divergence)")
-	serveRTT := flag.Bool("serve-rtt", false, "serving-layer mode: stand up an in-process sightd, run every owner through the HTTP API on both the stored and the remote-annotator path, verify the served reports byte-identical to in-process serial runs, and write round-trip numbers to -serve-out (skips the experiment steps)")
-	serveOut := flag.String("serve-out", "BENCH_serve.json", "serve mode: where to write the round-trip JSON")
-	nodes := flag.String("nodes", "", "cluster mode: comma-separated replica counts (e.g. \"1,2,4\"); per count, run every owner through an in-process N-replica sightd cluster, kill one replica mid-sweep when N > 1, verify the reports byte-identical to the serial run, and write recovery latency plus throughput to -cluster-out (skips the experiment steps)")
-	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "cluster mode: where to write the failover/throughput JSON")
-	scaleSizes := flag.String("scale-sizes", "10000,100000,316000,1000000", "scale-sweep mode (-scale sweep): comma-separated population sizes; sizes that do not fit in available memory are skipped with a message")
-	scaleOut := flag.String("scale-out", "BENCH_scale.json", "scale-sweep mode: where to write the scale-curve JSON")
-	scaleOwners := flag.Int("scale-owners", 4, "scale-sweep mode: benchmark owners per population size")
-	incremental := flag.Bool("incremental", false, "incremental mode: per network size, apply update batches of each -incr-deltas size and measure a full recompute against delta.Revise on the same graph, asserting byte-identity; writes the speedup curve to -incr-out (skips the experiment steps)")
-	incrSizes := flag.String("incr-sizes", "10000,100000", "incremental mode: comma-separated stranger counts for the owner's network")
-	incrDeltas := flag.String("incr-deltas", "1,10,100", "incremental mode: comma-separated update-batch sizes")
-	incrOut := flag.String("incr-out", "BENCH_incremental.json", "incremental mode: where to write the speedup-curve JSON")
-	advise := flag.Bool("advise", false, "advise mode: per network size, evaluate one pre-acceptance friendship request by full counterfactual recompute and by delta.Revise, asserting byte-identity and the >=10x speedup at 10^4 strangers; writes the table to -advise-out (skips the experiment steps)")
-	adviseSizes := flag.String("advise-sizes", "2000,10000", "advise mode: comma-separated stranger counts for the owner's network")
-	adviseOut := flag.String("advise-out", "BENCH_advise.json", "advise mode: where to write the speedup JSON")
-	ldpMode := flag.Bool("ldp", false, "ldp mode: sweep ε over -ldp-eps and measure the RMS relative error of every /v1/stats statistic under visibility-aware noise against the all-edge baseline, asserting visibility-aware strictly more accurate everywhere plus seeded reproducibility; writes the sweep to -ldp-out (skips the experiment steps)")
-	ldpEps := flag.String("ldp-eps", "0.5,1,2,4", "ldp mode: comma-separated ε values for the accuracy sweep")
-	ldpTrials := flag.Int("ldp-trials", 200, "ldp mode: noise epochs per (ε, mode) cell of the sweep")
-	ldpStrangers := flag.Int("ldp-strangers", 2000, "ldp mode: strangers in the synthetic population")
-	ldpOut := flag.String("ldp-out", "BENCH_ldp.json", "ldp mode: where to write the ε-vs-accuracy JSON")
+	tenants := flag.Int("tenants", 8, "fleet mode: tenant replicas of the study")
+	tenantRTT := flag.Duration("tenant-rtt", 20*time.Millisecond, "fleet mode: simulated annotator round-trip every question pays, on both the scheduler and the serial baseline; 0 disables it")
+	nodes := flag.String("nodes", "1,2,4", "cluster mode: comma-separated replica counts")
+	scaleOwners := flag.Int("scale-owners", 4, "scale mode: benchmark owners per population size")
+	deltas := flag.String("incr-deltas", "1,10,100", "incremental mode: comma-separated update-batch sizes")
+	eps := flag.String("ldp-eps", "0.5,1,2,4", "ldp mode: comma-separated ε values")
+	trials := flag.Int("ldp-trials", 200, "ldp mode: noise epochs per (ε, noise mode) cell")
 	flag.Parse()
 
-	if *ldpMode {
-		if err := runLDPBench(*ldpEps, *ldpTrials, *ldpStrangers, *seed, *ldpOut); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
+	o := opts{
+		scale: *scale, seed: *seed, workers: *workers, out: *out, sizes: *sizes,
+		only: *only, rounds: *rounds, ablations: *ablations, times: *times,
+		fault:        faults.Config{Seed: *faultSeed, FailProb: *faultProb, Latency: *faultLatency, AbandonAfter: *faultAbandon},
+		faultRetries: *faultRetries, traceOut: *traceOut, metricsOut: *metricsOut,
+		tenants: *tenants, tenantRTT: *tenantRTT, nodes: *nodes, scaleOwners: *scaleOwners,
+		deltas: *deltas, eps: *eps, trials: *trials,
 	}
-
-	if *advise {
-		if err := runAdviseBench(*adviseSizes, *seed, parallel.ResolveWorkers(*workers), *adviseOut); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	m, err := resolve(*name, set, &o)
+	if err == nil {
+		err = run(m, o)
 	}
-
-	if *incremental {
-		if err := runIncrementalBench(*incrSizes, *incrDeltas, *seed, parallel.ResolveWorkers(*workers), *incrOut); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *scale == "sweep" {
-		if err := runScaleBench(*scaleSizes, *seed, *workers, *scaleOwners, *scaleOut); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *nodes != "" {
-		if err := runClusterBench(*scale, *seed, *workers, *nodes, *clusterOut); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveRTT {
-		if err := runServeBench(*scale, *seed, *workers, *serveOut); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *audit {
-		if err := runAudit(*seed, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *tenants > 0 {
-		if err := runFleetBench(*scale, *seed, *tenants, *workers, *tenantRTT, *benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	start := time.Now()
-	env, err := buildEnv(*scale, *seed, *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "riskbench:", err)
 		os.Exit(1)
 	}
-	var metrics *obs.Metrics
-	if *metricsOut != "" {
-		metrics = &obs.Metrics{}
-		metrics.Publish("sightrisk")
-		env.Cfg.Metrics = metrics
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		tracer := obs.NewTracer(f)
-		env.Cfg.Observer = tracer
-		defer func() {
-			if err := tracer.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "riskbench: trace:", err)
-			}
-		}()
-	}
-	defer func() {
-		if metrics == nil {
-			return
-		}
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			return
-		}
-		defer f.Close()
-		if err := metrics.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench: metrics:", err)
-		}
-	}()
-	if *faultProb > 0 || *faultLatency > 0 || *faultAbandon > 0 {
-		fcfg := faults.Config{
-			Seed:         *faultSeed,
-			FailProb:     *faultProb,
-			Latency:      *faultLatency,
-			AbandonAfter: *faultAbandon,
-		}
-		if err := fcfg.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		if *faultProb > 0 {
-			env.Cfg.Retry = active.RetryPolicy{
-				MaxAttempts: *faultRetries,
-				BaseDelay:   time.Microsecond,
-				MaxDelay:    10 * time.Microsecond,
-			}
-		}
-		wrapped := 0
-		env.Wrap = func(a active.FallibleAnnotator) active.FallibleAnnotator {
-			cfg := fcfg
-			cfg.Seed = *faultSeed + int64(wrapped)
-			wrapped++
-			inj, err := faults.Wrap(a, cfg)
-			if err != nil {
-				return a // validated above; unreachable
-			}
-			return inj
-		}
-		fmt.Printf("riskbench: fault injection on (prob=%g latency=%v abandon=%d seed=%d retries=%d)\n",
-			*faultProb, *faultLatency, *faultAbandon, *faultSeed, *faultRetries)
-	}
-	stage := func(id string, since time.Time) {
-		if *times {
-			fmt.Printf("riskbench: %-10s %10s  (workers=%d)\n", id, time.Since(since).Round(time.Millisecond), parallel.ResolveWorkers(*workers))
-		}
-	}
-	stage("generate", start)
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(id))] = true
-		}
-	}
-	enabled := func(id string) bool { return len(want) == 0 || want[id] }
-
-	fmt.Printf("riskbench: scale=%s seed=%d owners=%d strangers=%d (mean %.0f/owner)\n\n",
-		*scale, *seed, len(env.Study.Owners), env.Study.TotalStrangers(), env.Study.MeanStrangers())
-
-	type step struct {
-		id  string
-		run func(*experiments.Env) error
-	}
-	steps := []step{
-		{"fig4", printFig4},
-		{"headline", printHeadline},
-		{"fig5", func(e *experiments.Env) error { return printFig5(e, *rounds) }},
-		{"fig6", func(e *experiments.Env) error { return printFig6(e, *rounds) }},
-		{"fig7", printFig7},
-		{"table1", printTable1},
-		{"table2", printTable2},
-		{"table3", printTable3},
-		{"table4", printTable4},
-		{"table5", printTable5},
-		{"contrast", printContrast},
-		{"dynamics", printDynamics},
-		{"robustness", func(e *experiments.Env) error { return printRobustness(*scale, *seed, *workers) }},
-		{"faults", printFaults},
-	}
-	for _, s := range steps {
-		if !enabled(s.id) {
-			continue
-		}
-		stepStart := time.Now()
-		if err := s.run(env); err != nil {
-			fmt.Fprintf(os.Stderr, "riskbench: %s: %v\n", s.id, err)
-			os.Exit(1)
-		}
-		stage(s.id, stepStart)
-	}
-
-	if *ablations {
-		ablStart := time.Now()
-		if err := printAblations(env); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench: ablations:", err)
-			os.Exit(1)
-		}
-		stage("ablations", ablStart)
-	}
-	stage("total", start)
 }
 
-func printContrast(e *experiments.Env) error {
-	rows, err := experiments.PrivacyScoreContrast(e)
+// resolve looks up the named mode, rejects any set flag the mode does
+// not read, and fills in the mode's -out and -sizes defaults.
+func resolve(name string, set []string, o *opts) (mode, error) {
+	i := slices.IndexFunc(modes, func(m mode) bool { return m.name == name })
+	if i < 0 {
+		return mode{}, fmt.Errorf("unknown -mode %q", name)
+	}
+	m := modes[i]
+	reads := strings.Fields("mode seed workers " + m.flags)
+	for _, f := range set {
+		if !slices.Contains(reads, f) {
+			return m, fmt.Errorf("-%s does not apply to -mode %s", f, m.name)
+		}
+	}
+	if o.out == "" {
+		o.out = "BENCH_" + m.name + ".json"
+	}
+	if o.sizes == "" {
+		o.sizes = m.sizes
+	}
+	return m, nil
+}
+
+// run executes m and writes its document only once every gate has
+// passed: a mode that returns an error leaves o.out untouched.
+func run(m mode, o opts) error {
+	doc, err := m.run(o)
 	if err != nil {
 		return err
 	}
-	t := stats.NewTable("Privacy-score contrast — Liu & Terzi [29] privacy scores vs this paper's risk labels (§V related work, quantified)",
-		"signal", "mean corr", "mean |corr|")
-	for _, r := range rows {
-		t.AddRow(r.Signal, fmtNaN(r.MeanCorr, "%+.3f"), fmtNaN(r.MeanAbsCorr, "%.3f"))
+	if doc == nil {
+		return nil
 	}
-	fmt.Println(t)
+	if err := writeBench(o.out, doc); err != nil {
+		return err
+	}
+	fmt.Printf("riskbench: wrote %s\n", o.out)
 	return nil
 }
 
-func printRobustness(scale string, seed int64, workers int) error {
-	// Robustness builds its own (smaller) populations per topology, so
-	// it always runs at a bounded scale regardless of -scale.
-	cfg := synthetic.SmallStudyConfig()
-	cfg.Owners = 6
-	cfg.Seed = seed
-	coreCfg := core.DefaultConfig()
-	coreCfg.Workers = workers
-	rows, err := experiments.Robustness(cfg, coreCfg)
+// writeBench writes doc as indented JSON with a trailing newline, the
+// format of every checked-in BENCH_*.json.
+func writeBench(path string, doc any) error {
+	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	_ = scale
-	t := stats.NewTable("Robustness — headline results across friend-graph topologies",
-		"topology", "group-1 share", "max NSG group", "exact match", "rounds", "labels/owner")
-	for _, r := range rows {
-		t.AddRow(r.Topology, stats.Pct(r.Group1Share), fmt.Sprintf("%d", r.MaxOccupiedGroup),
-			stats.Pct(r.ExactMatch), fmtNaN(r.MeanRounds, "%.2f"), fmtNaN(r.MeanLabels, "%.1f"))
-	}
-	fmt.Println(t)
-	return nil
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// runAudit is -audit mode: the determinism auditor over the same
-// configuration printRobustness uses, two full runs per topology
-// diffed event by event, plus the snapfile leg (the same owners off
-// in-memory arrays vs mmap'd pages). Exits non-zero on any divergence.
-func runAudit(seed int64, workers int) error {
-	cfg := synthetic.SmallStudyConfig()
-	cfg.Owners = 6
-	cfg.Seed = seed
-	coreCfg := core.DefaultConfig()
-	coreCfg.Workers = workers
-	verdicts, err := experiments.AuditRobustness(cfg, coreCfg)
-	if err != nil {
-		return err
-	}
-	diverged := false
-	for _, v := range verdicts {
-		status := "PASS"
-		if !v.Passed {
-			status = "DIVERGED"
-			diverged = true
+// parseList parses a comma-separated flag value, rejecting the list at
+// its first entry that does not parse or fails valid.
+func parseList[T int | float64](name, spec string, valid func(T) bool) ([]T, error) {
+	var out []T
+	for _, f := range strings.Split(spec, ",") {
+		var v T
+		var err error
+		switch p := any(&v).(type) {
+		case *int:
+			*p, err = strconv.Atoi(strings.TrimSpace(f))
+		case *float64:
+			*p, err = strconv.ParseFloat(strings.TrimSpace(f), 64)
 		}
-		fmt.Printf("audit %-12s %-8s (%d events per run)\n", v.Topology, status, v.Events)
-		if v.Detail != "" {
-			for _, line := range strings.Split(v.Detail, "\n") {
-				fmt.Println("  " + line)
-			}
+		if err != nil || !valid(v) {
+			return nil, fmt.Errorf("bad %s entry %q", name, f)
 		}
+		out = append(out, v)
 	}
-	events, detail, err := auditSnapfile(seed, workers)
-	if err != nil {
-		return fmt.Errorf("snapfile audit: %w", err)
-	}
-	status := "PASS"
-	if detail != "" {
-		status = "DIVERGED"
-		diverged = true
-	}
-	fmt.Printf("audit %-12s %-8s (%d events per run, mmap vs in-memory)\n", "snapfile", status, events)
-	if detail != "" {
-		for _, line := range strings.Split(detail, "\n") {
-			fmt.Println("  " + line)
-		}
-	}
-	cpCount, cDetail, err := auditCluster(seed, workers)
-	if err != nil {
-		return fmt.Errorf("cluster audit: %w", err)
-	}
-	status = "PASS"
-	if cDetail != "" {
-		status = "DIVERGED"
-		diverged = true
-	}
-	fmt.Printf("audit %-12s %-8s (%d checkpoints observed, 2-node failover vs single-node)\n", "cluster", status, cpCount)
-	if cDetail != "" {
-		for _, line := range strings.Split(cDetail, "\n") {
-			fmt.Println("  " + line)
-		}
-	}
-	iPools, iDetail, err := auditIncremental(seed)
-	if err != nil {
-		return fmt.Errorf("incremental audit: %w", err)
-	}
-	status = "PASS"
-	if iDetail != "" {
-		status = "DIVERGED"
-		diverged = true
-	}
-	fmt.Printf("audit %-12s %-8s (%d pools per run, revision vs full recompute at workers 1/2/4)\n", "incremental", status, iPools)
-	if iDetail != "" {
-		for _, line := range strings.Split(iDetail, "\n") {
-			fmt.Println("  " + line)
-		}
-	}
-	aPools, aDetail, err := auditAdvise(seed)
-	if err != nil {
-		return fmt.Errorf("advise audit: %w", err)
-	}
-	status = "PASS"
-	if aDetail != "" {
-		status = "DIVERGED"
-		diverged = true
-	}
-	fmt.Printf("audit %-12s %-8s (%d pools per run, counterfactual vs full recompute at workers 1/2/4)\n", "advise", status, aPools)
-	if aDetail != "" {
-		for _, line := range strings.Split(aDetail, "\n") {
-			fmt.Println("  " + line)
-		}
-	}
-	lReleases, lDetail, err := auditLDP(seed)
-	if err != nil {
-		return fmt.Errorf("ldp audit: %w", err)
-	}
-	status = "PASS"
-	if lDetail != "" {
-		status = "DIVERGED"
-		diverged = true
-	}
-	fmt.Printf("audit %-12s %-8s (%d releases checked: replays identical; fresh epochs, generations and ε independent)\n", "ldp", status, lReleases)
-	if lDetail != "" {
-		for _, line := range strings.Split(lDetail, "\n") {
-			fmt.Println("  " + line)
-		}
-	}
-	if diverged {
-		return fmt.Errorf("determinism audit failed")
-	}
-	fmt.Println("determinism audit passed: both runs of every topology were bit-identical, mmap-backed estimates matched in-memory ones bit for bit, the post-failover cluster report matched the single-node run byte for byte, incremental revisions matched full recomputes at every worker count, the advise counterfactual matched its full recompute byte for byte at every worker count, and repeated differentially private releases reproduced byte for byte while fresh epochs, bumped generations and different ε all drew independent noise")
-	return nil
+	return out, nil
 }
 
-func printFaults(e *experiments.Env) error {
-	rows, err := experiments.FaultOverhead(e, []float64{0.05, 0.2}, active.RetryPolicy{})
-	if err != nil {
-		return err
-	}
-	t := stats.NewTable("Fault tolerance — retry overhead under injected annotator flakiness",
-		"scenario", "owners", "labels/owner", "failures", "attempts", "partial", "elapsed")
-	for _, r := range rows {
-		t.AddRow(r.Scenario, fmt.Sprintf("%d", r.Owners), fmtNaN(r.MeanLabels, "%.1f"),
-			fmt.Sprintf("%d", r.Failures), fmt.Sprintf("%d", r.Queries),
-			fmt.Sprintf("%d", r.Partial), r.Elapsed.Round(time.Millisecond).String())
-	}
-	fmt.Println(t)
-	return nil
-}
-
-func printDynamics(e *experiments.Env) error {
-	// Dynamics mutates the study graph, so it runs last when enabled
-	// alongside other experiments (steps list order) and only against
-	// the first owner.
-	rows, err := experiments.Dynamics(e, 0, 4, len(e.Study.Owners[0].Strangers()))
-	if err != nil {
-		return err
-	}
-	t := stats.NewTable("Dynamic graph — churn absorbed by on-the-fly pools (§III motivation)",
-		"step", "edges added", "NSG migrations", "label changes", "labels asked", "exact match")
-	for _, r := range rows {
-		t.AddRow(fmt.Sprintf("%d", r.Step), fmt.Sprintf("%d", r.EdgesAdded),
-			fmt.Sprintf("%d", r.Migrated), fmt.Sprintf("%d", r.LabelChanges),
-			fmt.Sprintf("%d", r.LabelsRequested), stats.Pct(r.ExactMatch))
-	}
-	fmt.Println(t)
-	return nil
-}
-
-func printAblations(env *experiments.Env) error {
-	suites := []struct {
-		title string
-		run   func(*experiments.Env) ([]experiments.AblationResult, error)
-	}{
-		{"Ablation — classifier choice", experiments.AblationClassifiers},
-		{"Ablation — pool strategy (NPP vs NSP)", experiments.AblationPoolStrategy},
-		{"Ablation — α (network similarity groups)", func(e *experiments.Env) ([]experiments.AblationResult, error) {
-			return experiments.AblationAlpha(e, nil)
-		}},
-		{"Ablation — β (Squeezer threshold)", func(e *experiments.Env) ([]experiments.AblationResult, error) {
-			return experiments.AblationBeta(e, nil)
-		}},
-		{"Ablation — stopping rule components", experiments.AblationStopping},
-		{"Ablation — stopping criteria (multi-criteria literature)", experiments.AblationStoppers},
-		{"Ablation — sampling strategy", experiments.AblationSamplers},
-		{"Ablation — edge-weight exponent", func(e *experiments.Env) ([]experiments.AblationResult, error) {
-			return experiments.AblationWeightExponent(e, nil)
-		}},
-		{"Ablation — Squeezer attribute weights", experiments.AblationSqueezerWeights},
-		{"Ablation — network similarity measure", experiments.AblationNetworkMeasure},
-	}
-	for _, s := range suites {
-		rows, err := s.run(env)
-		if err != nil {
-			return err
-		}
-		t := stats.NewTable(s.title, "variant", "labels/owner", "rounds", "exact match", "final RMSE")
-		for _, r := range rows {
-			t.AddRow(r.Name, fmtNaN(r.MeanLabels, "%.1f"), fmtNaN(r.MeanRounds, "%.2f"),
-				stats.Pct(r.ExactMatch), fmtNaN(r.MeanRMSE, "%.3f"))
-		}
-		fmt.Println(t)
-	}
-	return nil
+// atLeast accepts integers no smaller than min.
+func atLeast(min int) func(int) bool {
+	return func(n int) bool { return n >= min }
 }
 
 func studyConfig(scale string, seed int64) (synthetic.StudyConfig, error) {
@@ -573,211 +268,26 @@ func studyConfig(scale string, seed int64) (synthetic.StudyConfig, error) {
 	return cfg, nil
 }
 
-func buildEnv(scale string, seed int64, workers int) (*experiments.Env, error) {
-	cfg, err := studyConfig(scale, seed)
+// studyDataset generates the study for cfg and the served dataset
+// over it, with every owner's labels materialized.
+func studyDataset(cfg synthetic.StudyConfig) (*synthetic.Study, *dataset.Dataset, error) {
+	s, err := synthetic.GenerateStudy(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	coreCfg := core.DefaultConfig()
-	coreCfg.Workers = workers
-	return experiments.NewEnv(cfg, coreCfg)
+	return s, dataset.FromStudy(s, true), nil
 }
 
-func fmtNaN(v float64, format string) string {
-	if math.IsNaN(v) {
-		return "-"
-	}
-	return fmt.Sprintf(format, v)
-}
-
-func printFig4(e *experiments.Env) error {
-	rows, err := experiments.Fig4(e)
+// egoStudy generates a single-owner study with the given stranger
+// count.
+func egoStudy(strangers int, seed int64) (*synthetic.Study, *synthetic.Owner, error) {
+	cfg := synthetic.SmallStudyConfig()
+	cfg.Owners = 1
+	cfg.Ego.Strangers = strangers
+	cfg.Seed = seed
+	s, err := synthetic.GenerateStudy(cfg)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	t := stats.NewTable("Figure 4 — stranger count per network similarity group (paper: skewed low, empty above NS=0.6)",
-		"group", "NS range", "strangers", "share")
-	for _, r := range rows {
-		lo := float64(r.Group-1) / float64(len(rows))
-		hi := float64(r.Group) / float64(len(rows))
-		t.AddRow(fmt.Sprintf("%d", r.Group), fmt.Sprintf("[%.1f,%.1f)", lo, hi),
-			fmt.Sprintf("%d", r.Count), stats.Pct(r.Share))
-	}
-	fmt.Println(t)
-	labels := make([]string, 0, len(rows))
-	values := make([]float64, 0, len(rows))
-	for _, r := range rows {
-		if r.Count == 0 {
-			continue
-		}
-		labels = append(labels, fmt.Sprintf("group %d", r.Group))
-		values = append(values, float64(r.Count))
-	}
-	fmt.Println(stats.BarChart(labels, values, 50, "%.0f"))
-	return nil
-}
-
-func printHeadline(e *experiments.Env) error {
-	h, err := experiments.ComputeHeadline(e)
-	if err != nil {
-		return err
-	}
-	t := stats.NewTable("Section IV-C headline results", "metric", "paper", "measured")
-	t.AddRow("owners", "47", fmt.Sprintf("%d", h.Owners))
-	t.AddRow("mean strangers/owner", "3661", fmt.Sprintf("%.0f", h.MeanStrangers))
-	t.AddRow("mean labels/owner", "86", fmtNaN(h.MeanLabels, "%.1f"))
-	t.AddRow("mean confidence", "78.39", fmtNaN(h.MeanConfidence, "%.2f"))
-	t.AddRow("mean rounds to stabilize", "3.29", fmtNaN(h.MeanRounds, "%.2f"))
-	t.AddRow("exact label match", "83.36%", stats.Pct(h.ExactMatchRate))
-	t.AddRow("mean final RMSE", "< 0.5", fmtNaN(h.MeanRMSE, "%.3f"))
-	fmt.Println(t)
-	return nil
-}
-
-func printFig5(e *experiments.Env, rounds int) error {
-	rows, err := experiments.Fig5(e, rounds)
-	if err != nil {
-		return err
-	}
-	t := stats.NewTable("Figure 5 — validation RMSE by round (paper: both decline, NPP below NSP)",
-		"round", "NPP RMSE", "NSP RMSE", "NPP sessions", "NSP sessions")
-	for _, r := range rows {
-		t.AddRow(fmt.Sprintf("%d", r.Round), fmtNaN(r.NPP, "%.3f"), fmtNaN(r.NSP, "%.3f"),
-			fmt.Sprintf("%d", r.NPPSessions), fmt.Sprintf("%d", r.NSPSessions))
-	}
-	fmt.Println(t)
-	return nil
-}
-
-func printFig6(e *experiments.Env, rounds int) error {
-	rows, err := experiments.Fig6(e, rounds)
-	if err != nil {
-		return err
-	}
-	t := stats.NewTable("Figure 6 — mean unstabilized labels by round (paper: NPP stabilizes faster)",
-		"round", "NPP", "NSP")
-	for _, r := range rows {
-		t.AddRow(fmt.Sprintf("%d", r.Round), fmtNaN(r.NPP, "%.2f"), fmtNaN(r.NSP, "%.2f"))
-	}
-	fmt.Println(t)
-	return nil
-}
-
-func printFig7(e *experiments.Env) error {
-	rows, err := experiments.Fig7(e)
-	if err != nil {
-		return err
-	}
-	t := stats.NewTable("Figure 7 — share of very-risky labels per network similarity group (paper: decreasing)",
-		"group", "strangers", "very risky")
-	var labels []string
-	var values []float64
-	for _, r := range rows {
-		if r.Strangers == 0 {
-			continue
-		}
-		t.AddRow(fmt.Sprintf("%d", r.Group), fmt.Sprintf("%d", r.Strangers), stats.Pct(r.VeryRisky))
-		labels = append(labels, fmt.Sprintf("group %d", r.Group))
-		values = append(values, 100*r.VeryRisky)
-	}
-	fmt.Println(t)
-	fmt.Println(stats.BarChart(labels, values, 50, "%.1f%%"))
-	return nil
-}
-
-func printImportance(title string, rows []experiments.ImportanceRow, ranksShown int, paper map[string]float64) {
-	header := []string{"name"}
-	for i := 0; i < ranksShown; i++ {
-		header = append(header, fmt.Sprintf("I%d", i+1))
-	}
-	header = append(header, "avg imp.", "paper avg")
-	t := stats.NewTable(title, header...)
-	for _, r := range rows {
-		cells := []string{r.Name}
-		for i := 0; i < ranksShown && i < len(r.RankCounts); i++ {
-			cells = append(cells, fmt.Sprintf("%d", r.RankCounts[i]))
-		}
-		cells = append(cells, fmt.Sprintf("%.4f", r.AvgImportance))
-		if p, ok := paper[r.Name]; ok {
-			cells = append(cells, fmt.Sprintf("%.4f", p))
-		} else {
-			cells = append(cells, "-")
-		}
-		t.AddRow(cells...)
-	}
-	fmt.Println(t)
-}
-
-func printTable1(e *experiments.Env) error {
-	printImportance("Table I — profile attribute importance (paper: gender > locale > last name)",
-		experiments.Table1(e), 3,
-		map[string]float64{"gender": 0.6231, "locale": 0.3226, "last name": 0.0542})
-	return nil
-}
-
-func printTable2(e *experiments.Env) error {
-	printImportance("Table II — mined importance of benefits (paper: photo first, wall/location last)",
-		experiments.Table2(e), 7,
-		map[string]float64{
-			"photo": 0.27, "education": 0.143, "work": 0.140, "friend": 0.13,
-			"hometown": 0.11, "location": 0.092, "wall": 0.091,
-		})
-	return nil
-}
-
-func printTable3(e *experiments.Env) error {
-	rows := experiments.Table3(e)
-	paper := experiments.PaperTheta()
-	t := stats.NewTable("Table III — owner given θ weights", "item", "measured", "paper")
-	for _, r := range rows {
-		t.AddRow(r.Item, fmt.Sprintf("%.4f", r.AvgTheta), fmt.Sprintf("%.4f", paper[profile.Item(r.Item)]))
-	}
-	fmt.Println(t)
-	return nil
-}
-
-func printVisibility(title string, rows []experiments.VisibilityRow, paper map[string]map[profile.Item]float64) {
-	header := []string{"slice", "n"}
-	for _, item := range profile.Items() {
-		header = append(header, string(item))
-	}
-	t := stats.NewTable(title, header...)
-	for _, r := range rows {
-		cells := []string{r.Slice, fmt.Sprintf("%d", r.N)}
-		for _, item := range profile.Items() {
-			cell := stats.Pct(r.Rates[item])
-			if p, ok := paper[r.Slice]; ok {
-				cell += fmt.Sprintf(" (%.0f%%)", 100*p[item])
-			}
-			cells = append(cells, cell)
-		}
-		t.AddRow(cells...)
-	}
-	fmt.Println(t)
-}
-
-func printTable4(e *experiments.Env) error {
-	paper := map[string]map[profile.Item]float64{}
-	for _, g := range []string{synthetic.GenderMale, synthetic.GenderFemale} {
-		paper[g] = map[profile.Item]float64{}
-		for _, item := range profile.Items() {
-			paper[g][item] = synthetic.PaperGenderVisibility(item, g)
-		}
-	}
-	printVisibility("Table IV — item visibility by gender (measured, paper in parens)", experiments.Table4(e), paper)
-	return nil
-}
-
-func printTable5(e *experiments.Env) error {
-	paper := map[string]map[profile.Item]float64{}
-	for _, l := range synthetic.Locales() {
-		paper[l] = map[profile.Item]float64{}
-		for _, item := range profile.Items() {
-			paper[l][item] = synthetic.PaperLocaleVisibility(item, l)
-		}
-	}
-	rows := experiments.Table5(e)
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].N > rows[j].N })
-	printVisibility("Table V — item visibility by locale (measured, paper in parens)", rows, paper)
-	return nil
+	return s, s.Owners[0], nil
 }

@@ -15,6 +15,7 @@ import (
 	"sightrisk/internal/graph"
 	"sightrisk/internal/graph/snapfile"
 	"sightrisk/internal/obs"
+	"sightrisk/internal/parallel"
 	"sightrisk/internal/synthetic"
 
 	sight "sightrisk"
@@ -22,16 +23,21 @@ import (
 
 // scaleRow is one population size's measurements in the scale curve.
 type scaleRow struct {
-	Nodes        int     `json:"nodes"`
-	Edges        int     `json:"edges"`
-	GenerateMS   float64 `json:"generate_ms"`
-	SnapBytes    int64   `json:"snap_bytes"`
-	SnapWriteMS  float64 `json:"snap_write_ms"`
-	SnapOpenMS   float64 `json:"snap_open_ms"`
-	JSONBytes    int64   `json:"json_bytes,omitempty"`
-	JSONLoadMS   float64 `json:"json_load_ms,omitempty"`
-	OpenSpeedup  float64 `json:"open_speedup,omitempty"`
-	Owners       int     `json:"owners"`
+	Nodes       int     `json:"nodes"`
+	Edges       int     `json:"edges"`
+	GenerateMS  float64 `json:"generate_ms"`
+	SnapBytes   int64   `json:"snap_bytes"`
+	SnapWriteMS float64 `json:"snap_write_ms"`
+	SnapOpenMS  float64 `json:"snap_open_ms"`
+	JSONBytes   int64   `json:"json_bytes,omitempty"`
+	JSONLoadMS  float64 `json:"json_load_ms,omitempty"`
+	OpenSpeedup float64 `json:"open_speedup,omitempty"`
+	Owners      int     `json:"owners"`
+	// Strangers is the mean stranger count per benchmark owner and
+	// LargestPool the largest learning pool any of them ran: the
+	// conditions that set owners/sec.
+	Strangers    float64 `json:"strangers"`
+	LargestPool  int     `json:"largest_pool"`
 	OwnersPerSec float64 `json:"owners_per_sec"`
 	RSSMB        float64 `json:"rss_mb"`
 	ByteIdent    *bool   `json:"mmap_byte_identical,omitempty"`
@@ -63,49 +69,20 @@ func scaleMemNeed(nodes int, avgDegree float64) uint64 {
 	return gen + csr + jsonGraph
 }
 
-// memAvailable reads MemAvailable from /proc/meminfo in bytes
+// procKB reads a "Key:  N kB" line from a /proc status file in bytes
 // (0, false when unreadable — non-Linux or restricted).
-func memAvailable() (uint64, bool) {
-	data, err := os.ReadFile("/proc/meminfo")
+func procKB(path, key string) (uint64, bool) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, false
 	}
 	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "MemAvailable:") {
-			continue
+		if fields := strings.Fields(line); len(fields) >= 2 && fields[0] == key+":" {
+			kb, err := strconv.ParseUint(fields[1], 10, 64)
+			return kb * 1024, err == nil
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0, false
-		}
-		kb, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return 0, false
-		}
-		return kb * 1024, true
 	}
 	return 0, false
-}
-
-// rssMB reads the process's resident set size from /proc/self/status
-// in MiB (0 when unreadable).
-func rssMB() float64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmRSS:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, _ := strconv.ParseFloat(fields[1], 64)
-		return kb / 1024
-	}
-	return 0
 }
 
 // writeCSRJSON streams the snapshot as the graph package's JSON edge
@@ -157,40 +134,61 @@ func writeCSRJSON(path string, snap *graph.Snapshot) (int64, error) {
 	return st.Size(), nil
 }
 
-// scaleAnnotator answers the owner's labeling questions with a cheap
-// deterministic rule, so owners/sec measures the pipeline, not the
-// annotator.
-func scaleAnnotator() sight.Annotator {
-	return sight.AnnotatorFunc(func(s sight.UserID) sight.Label {
-		return sight.Label(int(s)%3 + 1)
-	})
+// scaleRun is one pass of the benchmark owners over a network.
+type scaleRun struct {
+	reports   [][]byte // marshaled, for the byte-identity checks
+	elapsed   time.Duration
+	strangers int // summed over owners
+	largest   int // largest pool of any owner
 }
 
-// runScaleOwners estimates every owner on the network and returns the
-// marshaled reports (for the byte-identity check) plus the elapsed
-// wall time.
-func runScaleOwners(net *sight.Network, owners []graph.UserID, seed int64, workers int) ([][]byte, time.Duration, error) {
-	opts := sight.DefaultOptions()
-	opts.Seed = seed
-	opts.Workers = workers
-	ann := scaleAnnotator()
-	out := make([][]byte, 0, len(owners))
+// runScaleOwners estimates every owner on the network. The annotator
+// is a cheap deterministic rule, so owners/sec measures the pipeline,
+// not the annotator.
+func runScaleOwners(net *sight.Network, owners []graph.UserID, opts sight.Options) (scaleRun, error) {
+	var r scaleRun
+	ann := sight.AnnotatorFunc(func(s sight.UserID) sight.Label { return sight.Label(int(s)%3 + 1) })
 	start := time.Now()
 	for _, o := range owners {
 		rep, err := sight.EstimateRisk(context.Background(), net, o, ann, opts)
 		if err != nil {
-			return nil, 0, fmt.Errorf("owner %d: %w", o, err)
+			return r, fmt.Errorf("owner %d: %w", o, err)
 		}
 		b, err := json.Marshal(rep)
 		if err != nil {
-			return nil, 0, err
+			return r, err
 		}
-		out = append(out, b)
+		r.reports = append(r.reports, b)
+		r.strangers += len(rep.Strangers)
+		pools := map[string]int{}
+		for _, sr := range rep.Strangers {
+			pools[sr.Pool]++
+			r.largest = max(r.largest, pools[sr.Pool])
+		}
 	}
-	return out, time.Since(start), nil
+	r.elapsed = time.Since(start)
+	return r, nil
 }
 
-// auditSnapfile is the snapshot-file leg of -audit mode: the same
+// firstDiff returns the index of the first owner whose report differs
+// between two passes over the same owners, or -1.
+func firstDiff(a, b scaleRun) int {
+	for i := range a.reports {
+		if !bytes.Equal(a.reports[i], b.reports[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+func scaleOptions(seed int64, workers int) sight.Options {
+	opts := sight.DefaultOptions()
+	opts.Seed = seed
+	opts.Workers = workers
+	return opts
+}
+
+// auditSnapfile is the snapshot-file leg of audit mode: the same
 // owners estimated twice with the event auditor attached and stage
 // digests on — once off the freshly generated in-memory CSR arrays,
 // once off a packed, mmap'd snapshot file. The reports and the full
@@ -219,41 +217,25 @@ func auditSnapfile(seed int64, workers int) (int, string, error) {
 	}
 	defer f.Close()
 
-	runSide := func(net *sight.Network) ([][]byte, []obs.Record, error) {
-		opts := sight.DefaultOptions()
-		opts.Seed = seed
-		opts.Workers = workers
+	runSide := func(net *sight.Network) (scaleRun, []obs.Record, error) {
+		opts := scaleOptions(seed, workers)
 		aud := obs.NewAuditor()
 		opts.Observability.Observer = aud
 		opts.Observability.Trace.Digests = true
-		ann := scaleAnnotator()
-		reports := make([][]byte, 0, len(sg.Owners))
-		for _, o := range sg.Owners {
-			rep, err := sight.EstimateRisk(context.Background(), net, o, ann, opts)
-			if err != nil {
-				return nil, nil, fmt.Errorf("owner %d: %w", o, err)
-			}
-			b, err := json.Marshal(rep)
-			if err != nil {
-				return nil, nil, err
-			}
-			reports = append(reports, b)
-		}
-		return reports, aud.Trail(), nil
+		r, err := runScaleOwners(net, sg.Owners, opts)
+		return r, aud.Trail(), err
 	}
 
-	memReports, memTrail, err := runSide(sight.WrapSnapshot(sg.Snapshot, sg.Profiles.Store()))
+	mem, memTrail, err := runSide(sight.WrapSnapshot(sg.Snapshot, sg.Profiles.Store()))
 	if err != nil {
 		return 0, "", fmt.Errorf("in-memory run: %w", err)
 	}
-	mmapReports, mmapTrail, err := runSide(sight.WrapSnapshot(f.Snapshot(), f.Profiles().Store()))
+	mmap, mmapTrail, err := runSide(sight.WrapSnapshot(f.Snapshot(), f.Profiles().Store()))
 	if err != nil {
 		return 0, "", fmt.Errorf("mmap run: %w", err)
 	}
-	for i := range memReports {
-		if !bytes.Equal(memReports[i], mmapReports[i]) {
-			return len(memTrail), fmt.Sprintf("owner %d: mmap-backed report differs from in-memory report", sg.Owners[i]), nil
-		}
+	if i := firstDiff(mem, mmap); i >= 0 {
+		return len(memTrail), fmt.Sprintf("owner %d: mmap-backed report differs from in-memory report", sg.Owners[i]), nil
 	}
 	if d, diverged := obs.FirstDivergence(memTrail, mmapTrail); diverged {
 		return len(memTrail), d.String(), nil
@@ -261,39 +243,36 @@ func auditSnapfile(seed int64, workers int) (int, string, error) {
 	return len(memTrail), "", nil
 }
 
-// runScaleBench is -scale sweep mode: for each population size it
-// generates a SNAP-Facebook-like graph straight into CSR, packs it
-// into a snapshot file, measures mmap open vs JSON load, runs every
-// benchmark owner off the mapped pages, and (at the smaller sizes)
-// verifies the mmap-backed reports byte-identical to in-memory ones.
-// Results go to stdout and to outPath as JSON.
-func runScaleBench(sizesSpec string, seed int64, workers, owners int, outPath string) error {
-	var sizes []int
-	for _, s := range strings.Split(sizesSpec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 2 {
-			return fmt.Errorf("bad -scale-sizes entry %q", s)
-		}
-		sizes = append(sizes, n)
+// runScaleBench is scale mode: for each population size it generates
+// a SNAP-Facebook-like graph straight into CSR, packs it into a
+// snapshot file, measures mmap open vs JSON load, runs every benchmark
+// owner off the mapped pages, and (at the smaller sizes) verifies the
+// mmap-backed reports byte-identical to in-memory ones.
+func runScaleBench(o opts) (any, error) {
+	sizes, err := parseList("-sizes", o.sizes, atLeast(2))
+	if err != nil {
+		return nil, err
 	}
 	dir, err := os.MkdirTemp("", "riskbench-scale-*")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
 
-	bench := scaleBench{GeneratedAt: time.Now().UTC().Format(time.RFC3339), Seed: seed, Workers: workers}
+	seed := o.seed
+	opts := scaleOptions(seed, o.workers)
+	bench := scaleBench{GeneratedAt: time.Now().UTC().Format(time.RFC3339), Seed: seed, Workers: parallel.ResolveWorkers(o.workers)}
 	fmt.Printf("riskbench: scale sweep sizes=%v seed=%d\n", sizes, seed)
-	fmt.Printf("%10s %10s %12s %12s %12s %12s %9s %12s %9s %6s\n",
-		"nodes", "edges", "generate", "snap write", "mmap open", "json load", "speedup", "owners/sec", "rss MB", "ident")
+	fmt.Printf("%10s %10s %12s %12s %12s %12s %9s %10s %8s %12s %9s %6s\n",
+		"nodes", "edges", "generate", "snap write", "mmap open", "json load", "speedup", "strangers", "largest", "owners/sec", "rss MB", "ident")
 
 	for _, n := range sizes {
 		cfg := synthetic.DefaultScaleConfig(n)
 		cfg.Seed = seed
-		if owners > 0 {
-			cfg.Owners = owners
+		if o.scaleOwners > 0 {
+			cfg.Owners = o.scaleOwners
 		}
-		if avail, ok := memAvailable(); ok {
+		if avail, ok := procKB("/proc/meminfo", "MemAvailable"); ok {
 			if need := scaleMemNeed(n, cfg.AvgDegree); need > avail {
 				fmt.Printf("riskbench: stopping before %d nodes: needs ~%.1f GiB, %.1f GiB available\n",
 					n, float64(need)/(1<<30), float64(avail)/(1<<30))
@@ -304,25 +283,25 @@ func runScaleBench(sizesSpec string, seed int64, workers, owners int, outPath st
 		genStart := time.Now()
 		sg, err := synthetic.GenerateScale(cfg)
 		if err != nil {
-			return fmt.Errorf("generate %d: %w", n, err)
+			return nil, fmt.Errorf("generate %d: %w", n, err)
 		}
 		genT := time.Since(genStart)
 
 		snapPath := filepath.Join(dir, fmt.Sprintf("scale-%d.snap", n))
 		writeStart := time.Now()
 		if err := snapfile.Create(snapPath, snapfile.Contents{Snapshot: sg.Snapshot, Profiles: sg.Profiles}); err != nil {
-			return fmt.Errorf("pack %d: %w", n, err)
+			return nil, fmt.Errorf("pack %d: %w", n, err)
 		}
 		writeT := time.Since(writeStart)
 		st, err := os.Stat(snapPath)
 		if err != nil {
-			return err
+			return nil, err
 		}
 
 		openStart := time.Now()
 		f, err := snapfile.Open(snapPath)
 		if err != nil {
-			return fmt.Errorf("open %d: %w", n, err)
+			return nil, fmt.Errorf("open %d: %w", n, err)
 		}
 		openT := time.Since(openStart)
 
@@ -341,13 +320,13 @@ func runScaleBench(sizesSpec string, seed int64, workers, owners int, outPath st
 		jsonPath := filepath.Join(dir, fmt.Sprintf("scale-%d.json", n))
 		jsonBytes, err := writeCSRJSON(jsonPath, sg.Snapshot)
 		if err != nil {
-			return fmt.Errorf("json write %d: %w", n, err)
+			return nil, fmt.Errorf("json write %d: %w", n, err)
 		}
 		jsonCell := "-"
 		if jsonBytes <= graph.MaxDecodeBytes {
 			loadStart := time.Now()
 			if _, err := graph.Load(jsonPath); err != nil {
-				return fmt.Errorf("json load %d: %w", n, err)
+				return nil, fmt.Errorf("json load %d: %w", n, err)
 			}
 			loadT := time.Since(loadStart)
 			row.JSONBytes = jsonBytes
@@ -361,37 +340,34 @@ func runScaleBench(sizesSpec string, seed int64, workers, owners int, outPath st
 
 		// Owner throughput off the mapped pages.
 		mmapNet := sight.WrapSnapshot(f.Snapshot(), f.Profiles().Store())
-		mmapReports, elapsed, err := runScaleOwners(mmapNet, sg.Owners, seed, workers)
+		mmap, err := runScaleOwners(mmapNet, sg.Owners, opts)
 		if err != nil {
-			return fmt.Errorf("owners at %d: %w", n, err)
+			return nil, fmt.Errorf("owners at %d: %w", n, err)
 		}
-		if elapsed > 0 {
-			row.OwnersPerSec = float64(len(sg.Owners)) / elapsed.Seconds()
+		if mmap.elapsed > 0 {
+			row.OwnersPerSec = float64(len(sg.Owners)) / mmap.elapsed.Seconds()
 		}
-		row.RSSMB = rssMB()
+		row.Strangers = float64(mmap.strangers) / float64(max(1, len(sg.Owners)))
+		row.LargestPool = mmap.largest
+		rss, _ := procKB("/proc/self/status", "VmRSS") // 0 when unreadable
+		row.RSSMB = float64(rss) / (1 << 20)
 
 		// Standing invariant: mmap-backed estimates are byte-identical
 		// to ones computed off the freshly generated in-memory arrays.
 		identCell := "-"
 		if n <= byteIdentityMax {
 			memNet := sight.WrapSnapshot(sg.Snapshot, sg.Profiles.Store())
-			memReports, _, err := runScaleOwners(memNet, sg.Owners, seed, workers)
+			mem, err := runScaleOwners(memNet, sg.Owners, opts)
 			if err != nil {
-				return fmt.Errorf("in-memory owners at %d: %w", n, err)
+				return nil, fmt.Errorf("in-memory owners at %d: %w", n, err)
 			}
-			ident := len(memReports) == len(mmapReports)
-			for i := range memReports {
-				if !ident || !bytes.Equal(memReports[i], mmapReports[i]) {
-					ident = false
-					break
-				}
+			if i := firstDiff(mem, mmap); i >= 0 {
+				f.Close()
+				return nil, fmt.Errorf("scale %d: owner %d: mmap-backed report differs from in-memory report", n, sg.Owners[i])
 			}
+			ident := true
 			row.ByteIdent = &ident
 			identCell = "yes"
-			if !ident {
-				f.Close()
-				return fmt.Errorf("scale %d: mmap-backed reports differ from in-memory reports", n)
-			}
 		}
 		f.Close()
 		os.Remove(snapPath)
@@ -400,28 +376,15 @@ func runScaleBench(sizesSpec string, seed int64, workers, owners int, outPath st
 		if row.OpenSpeedup > 0 {
 			speedCell = fmt.Sprintf("%.0fx", row.OpenSpeedup)
 		}
-		fmt.Printf("%10d %10d %12s %12s %12s %12s %9s %12.1f %9.0f %6s\n",
+		fmt.Printf("%10d %10d %12s %12s %12s %12s %9s %10.0f %8d %12.2f %9.0f %6s\n",
 			row.Nodes, row.Edges, genT.Round(time.Millisecond), writeT.Round(time.Millisecond),
-			openT.Round(100*time.Microsecond), jsonCell, speedCell, row.OwnersPerSec, row.RSSMB, identCell)
+			openT.Round(100*time.Microsecond), jsonCell, speedCell, row.Strangers, row.LargestPool,
+			row.OwnersPerSec, row.RSSMB, identCell)
 		bench.Rows = append(bench.Rows, row)
 	}
 
 	if len(bench.Rows) == 0 {
-		return fmt.Errorf("scale sweep: no size fit in available memory")
+		return nil, fmt.Errorf("scale sweep: no size fit in available memory")
 	}
-	out, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(bench); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("riskbench: wrote %s (%d sizes)\n", outPath, len(bench.Rows))
-	return nil
+	return bench, nil
 }

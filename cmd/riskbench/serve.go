@@ -1,6 +1,6 @@
 package main
 
-// Serving-layer benchmark mode (-serve-rtt): stands up an in-process
+// Serving-layer benchmark (serve mode): stands up an in-process
 // sightd (internal/server behind httptest) over the synthetic study
 // and runs every owner through the HTTP API twice — once with the
 // server-side stored annotator (no wire loop) and once with the owner
@@ -11,6 +11,7 @@ package main
 // trips. Results land in BENCH_serve.json (see EXPERIMENTS.md).
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -27,7 +28,6 @@ import (
 	"sightrisk/internal/parallel"
 	"sightrisk/internal/server"
 	"sightrisk/internal/stats"
-	"sightrisk/internal/synthetic"
 )
 
 // latencyStats summarizes a latency sample in microseconds.
@@ -73,6 +73,59 @@ type serveSide struct {
 	MillisPerQuery float64 `json:"ms_per_query,omitempty"`
 }
 
+// newSide computes one path's throughput numbers.
+func newSide(owners, queries int, elapsed time.Duration) serveSide {
+	elapsedMS := float64(elapsed) / float64(time.Millisecond)
+	return serveSide{
+		Owners:         owners,
+		Queries:        queries,
+		ElapsedMillis:  elapsedMS,
+		OwnersPerSec:   float64(owners) / elapsed.Seconds(),
+		MillisPerOwner: elapsedMS / float64(max(1, owners)),
+	}
+}
+
+// answers is owner rec answering questions over the wire from its
+// stored labels, as serialBaseline's annotator answers in process.
+func answers(rec dataset.OwnerRecord) func(int64) (int, error) {
+	ann := dataset.StoredAnnotator{Labels: rec.Labels, Fallback: label.Risky}
+	return func(s int64) (int, error) { return int(ann.LabelStranger(graph.UserID(s))), nil }
+}
+
+// serialBaseline runs every owner through the in-process library path
+// and returns the wire-encoded report bytes the served runs must
+// reproduce, plus throughput numbers.
+func serialBaseline(ctx context.Context, ds *dataset.Dataset) (map[graph.UserID][]byte, serveSide, error) {
+	net := sight.WrapNetwork(ds.Graph, ds.ProfileStore())
+	want := make(map[graph.UserID][]byte, len(ds.Owners))
+	queries := 0
+	start := time.Now()
+	for _, rec := range ds.Owners {
+		ann := dataset.StoredAnnotator{Labels: rec.Labels, Fallback: label.Risky}
+		rep, err := sight.EstimateRisk(ctx, net, rec.ID, ann, sight.DefaultOptions())
+		if err != nil {
+			return nil, serveSide{}, fmt.Errorf("serial baseline: owner %d: %w", rec.ID, err)
+		}
+		b, err := json.Marshal(client.FromReport(rep))
+		if err != nil {
+			return nil, serveSide{}, err
+		}
+		want[rec.ID] = b
+		queries += rep.LabelsRequested
+	}
+	return want, newSide(len(ds.Owners), queries, time.Since(start)), nil
+}
+
+// matches reports whether the served report encodes to the serial
+// run's bytes, and names the owner on stderr when it does not.
+func matches(want []byte, rep *client.Report, path string, owner graph.UserID) bool {
+	if got, err := json.Marshal(rep); err == nil && bytes.Equal(got, want) {
+		return true
+	}
+	fmt.Fprintf(os.Stderr, "riskbench: %s report for owner %d differs from serial run\n", path, owner)
+	return false
+}
+
 // serveBenchReport is the BENCH_serve.json shape.
 type serveBenchReport struct {
 	Scale   string `json:"scale"`
@@ -94,19 +147,18 @@ type serveBenchReport struct {
 	Identical      bool    `json:"identical_reports"`
 }
 
-func runServeBench(scale string, seed int64, workers int, outPath string) error {
-	cfg, err := studyConfig(scale, seed)
+func runServeBench(o opts) (any, error) {
+	cfg, err := studyConfig(o.scale, o.seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	resolved := parallel.ResolveWorkers(workers)
-	fmt.Printf("riskbench: serve mode — scale=%s seed=%d (server workers=%d)\n", scale, seed, resolved)
+	resolved := parallel.ResolveWorkers(o.workers)
+	fmt.Printf("riskbench: serve mode — scale=%s seed=%d (server workers=%d)\n", o.scale, o.seed, resolved)
 
-	study, err := synthetic.GenerateStudy(cfg)
+	study, ds, err := studyDataset(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ds := dataset.FromStudy(study, true)
 	fmt.Printf("riskbench: study: %d owners, %d strangers total\n", len(ds.Owners), study.TotalStrangers())
 
 	srv, err := server.New(server.Config{
@@ -114,7 +166,7 @@ func runServeBench(scale string, seed int64, workers int, outPath string) error 
 		Workers:  resolved,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
@@ -127,39 +179,12 @@ func runServeBench(scale string, seed int64, workers int, outPath string) error 
 	c.LongPoll = 10 * time.Second
 	ctx := context.Background()
 
-	// Serial baseline: the library path the served reports must
-	// reproduce byte for byte.
-	net := sight.WrapNetwork(ds.Graph, ds.ProfileStore())
-	want := make(map[graph.UserID][]byte, len(ds.Owners))
-	serialQueries := 0
-	serialStart := time.Now()
-	for _, rec := range ds.Owners {
-		ann := dataset.StoredAnnotator{Labels: rec.Labels, Fallback: label.Risky}
-		rep, err := sight.EstimateRisk(ctx, net, rec.ID, ann, sight.DefaultOptions())
-		if err != nil {
-			return fmt.Errorf("serial baseline: owner %d: %w", rec.ID, err)
-		}
-		b, err := json.Marshal(client.FromReport(rep))
-		if err != nil {
-			return err
-		}
-		want[rec.ID] = b
-		serialQueries += rep.LabelsRequested
+	want, serial, err := serialBaseline(ctx, ds)
+	if err != nil {
+		return nil, err
 	}
-	serialElapsed := time.Since(serialStart)
 
 	identical := true
-	check := func(path string, owner graph.UserID, rep *client.Report) error {
-		got, err := json.Marshal(rep)
-		if err != nil {
-			return err
-		}
-		if string(got) != string(want[owner]) {
-			identical = false
-			fmt.Fprintf(os.Stderr, "riskbench: %s report for owner %d differs from serial run\n", path, owner)
-		}
-		return nil
-	}
 
 	// Stored path: the pipeline runs entirely server-side; the wire
 	// carries one submit and one status poll loop.
@@ -170,19 +195,17 @@ func runServeBench(scale string, seed int64, workers int, outPath string) error 
 			Dataset: "study", Owner: int64(rec.ID), Annotator: client.AnnotatorStored,
 		})
 		if err != nil {
-			return fmt.Errorf("stored path: owner %d: %w", rec.ID, err)
+			return nil, fmt.Errorf("stored path: owner %d: %w", rec.ID, err)
 		}
 		fin, err := c.Wait(ctx, st.ID)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if fin.Status != client.StatusDone {
-			return fmt.Errorf("stored path: owner %d ended %q: %v", rec.ID, fin.Status, fin.Error)
+			return nil, fmt.Errorf("stored path: owner %d ended %q: %v", rec.ID, fin.Status, fin.Error)
 		}
 		storedQueries += fin.Queries
-		if err := check("stored", rec.ID, fin.Report); err != nil {
-			return err
-		}
+		identical = matches(want[rec.ID], fin.Report, "stored", rec.ID) && identical
 	}
 	storedElapsed := time.Since(storedStart)
 
@@ -191,37 +214,25 @@ func runServeBench(scale string, seed int64, workers int, outPath string) error 
 	remoteQueries := 0
 	remoteStart := time.Now()
 	for _, rec := range ds.Owners {
-		labels := rec.Labels
+		answer := answers(rec)
 		rep, err := c.Run(ctx, &client.EstimateRequest{Dataset: "study", Owner: int64(rec.ID)},
-			func(stranger int64) (int, error) {
-				remoteQueries++
-				if l, ok := labels[graph.UserID(stranger)]; ok {
-					return int(l), nil
-				}
-				return int(label.Risky), nil
-			})
+			func(stranger int64) (int, error) { remoteQueries++; return answer(stranger) })
 		if err != nil {
-			return fmt.Errorf("remote path: owner %d: %w", rec.ID, err)
+			return nil, fmt.Errorf("remote path: owner %d: %w", rec.ID, err)
 		}
-		if err := check("remote", rec.ID, rep); err != nil {
-			return err
-		}
+		identical = matches(want[rec.ID], rep, "remote", rec.ID) && identical
 	}
 	remoteElapsed := time.Since(remoteStart)
 
 	// Raw endpoint latency, sampled against a terminal job's status.
-	lastID := ""
-	{
-		st, err := c.Submit(ctx, &client.EstimateRequest{
-			Dataset: "study", Owner: int64(ds.Owners[0].ID), Annotator: client.AnnotatorStored,
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := c.Wait(ctx, st.ID); err != nil {
-			return err
-		}
-		lastID = st.ID
+	last, err := c.Submit(ctx, &client.EstimateRequest{
+		Dataset: "study", Owner: int64(ds.Owners[0].ID), Annotator: client.AnnotatorStored,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := c.Wait(ctx, last.ID); err != nil {
+		return nil, err
 	}
 	const pings = 50
 	healthz := make([]time.Duration, 0, pings)
@@ -229,40 +240,30 @@ func runServeBench(scale string, seed int64, workers int, outPath string) error 
 	for i := 0; i < pings; i++ {
 		t0 := time.Now()
 		if _, err := c.Health(ctx); err != nil {
-			return err
+			return nil, err
 		}
 		healthz = append(healthz, time.Since(t0))
 		t0 = time.Now()
-		if _, err := c.Get(ctx, lastID); err != nil {
-			return err
+		if _, err := c.Get(ctx, last.ID); err != nil {
+			return nil, err
 		}
 		status = append(status, time.Since(t0))
 	}
 
-	side := func(owners, queries int, elapsed time.Duration, perQuery bool) serveSide {
-		s := serveSide{
-			Owners:         owners,
-			Queries:        queries,
-			ElapsedMillis:  float64(elapsed) / float64(time.Millisecond),
-			OwnersPerSec:   float64(owners) / elapsed.Seconds(),
-			MillisPerOwner: float64(elapsed) / float64(time.Millisecond) / float64(max(1, owners)),
-		}
-		if perQuery {
-			s.MillisPerQuery = float64(elapsed) / float64(time.Millisecond) / float64(max(1, queries))
-		}
-		return s
-	}
+	stored := newSide(len(ds.Owners), storedQueries, storedElapsed)
+	remote := newSide(len(ds.Owners), remoteQueries, remoteElapsed)
+	remote.MillisPerQuery = remote.ElapsedMillis / float64(max(1, remoteQueries))
 	report := serveBenchReport{
-		Scale:          scale,
-		Seed:           seed,
+		Scale:          o.scale,
+		Seed:           o.seed,
 		Owners:         len(ds.Owners),
 		Workers:        resolved,
 		Healthz:        summarize(healthz),
 		Status:         summarize(status),
-		Serial:         side(len(ds.Owners), serialQueries, serialElapsed, false),
-		Stored:         side(len(ds.Owners), storedQueries, storedElapsed, false),
-		Remote:         side(len(ds.Owners), remoteQueries, remoteElapsed, true),
-		StoredOverhead: float64(storedElapsed) / float64(serialElapsed),
+		Serial:         serial,
+		Stored:         stored,
+		Remote:         remote,
+		StoredOverhead: stored.ElapsedMillis / serial.ElapsedMillis,
 		Identical:      identical,
 	}
 
@@ -283,17 +284,8 @@ func runServeBench(scale string, seed int64, workers int, outPath string) error 
 	fmt.Printf("serving overhead (stored/serial): %.2fx   healthz p50 %.0fµs   status p50 %.0fµs   identical reports: %v\n\n",
 		report.StoredOverhead, report.Healthz.P50Micro, report.Status.P50Micro, identical)
 
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("riskbench: wrote %s\n", outPath)
 	if !identical {
-		return fmt.Errorf("served reports are not byte-identical to serial output")
+		return nil, fmt.Errorf("served reports are not byte-identical to serial output")
 	}
-	return nil
+	return report, nil
 }

@@ -66,7 +66,7 @@ func TestEstimateRiskContextAbandonment(t *testing.T) {
 		return riskByID(s), nil
 	})
 	// A bare error (not ErrAbandoned, not transient) must fail the run.
-	if _, err := EstimateRiskContext(context.Background(), net, owner, ann, DefaultOptions()); err == nil {
+	if _, err := EstimateRisk(context.Background(), net, owner, ann, DefaultOptions()); err == nil {
 		t.Fatal("hard annotator failure did not fail the run")
 	}
 
@@ -78,7 +78,7 @@ func TestEstimateRiskContextAbandonment(t *testing.T) {
 		answered++
 		return riskByID(s), nil
 	})
-	rep, err := EstimateRiskContext(context.Background(), net, owner, abandoning, DefaultOptions())
+	rep, err := EstimateRisk(context.Background(), net, owner, abandoning, DefaultOptions())
 	if err != nil {
 		t.Fatalf("abandonment failed the run: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestCheckpointPublicRoundtripResume(t *testing.T) {
 	})
 	iopts := opts
 	iopts.Checkpointing.Sink = func(c *Checkpoint) error { return SaveCheckpoint(path, c) }
-	rep, err := EstimateRiskContext(context.Background(), net, owner, abandoning, iopts)
+	rep, err := EstimateRisk(context.Background(), net, owner, abandoning, iopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestCheckpointPublicRoundtripResume(t *testing.T) {
 		reasked++
 		return riskByID(s), nil
 	})
-	resumed, err := EstimateRiskContext(context.Background(), net, owner, resumeAnn, ropts)
+	resumed, err := EstimateRisk(context.Background(), net, owner, resumeAnn, ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCheckpointPublicRoundtripResume(t *testing.T) {
 	}
 	// A seed mismatch must be caught up front.
 	ropts.Seed = opts.Seed + 1
-	if _, err := EstimateRiskContext(context.Background(), net, owner, resumeAnn, ropts); err == nil {
+	if _, err := EstimateRisk(context.Background(), net, owner, resumeAnn, ropts); err == nil {
 		t.Fatal("resume with a different seed accepted")
 	}
 }

@@ -20,7 +20,7 @@ func naNEqual(a, b float64) bool {
 // NaN aware. It compares everything a Report is assembled from, so a
 // "" result means the two runs produce byte-identical reports. The
 // determinism test suite and the fleet scheduler's serial-equivalence
-// checks (tests and `riskbench -tenants`) all rely on it.
+// checks (tests and `riskbench -mode fleet`) all rely on it.
 func DiffRuns(a, b *OwnerRun) string {
 	if a == nil || b == nil {
 		if a == b {

@@ -20,5 +20,5 @@
 // Estimates computed from an mmap-backed Snapshot are byte-identical
 // to those from the in-memory build — the snapshot/live equivalence
 // property extends to the file boundary, and the determinism auditor
-// (riskbench -audit) re-verifies it on every run.
+// (riskbench -mode audit) re-verifies it on every run.
 package snapfile

@@ -19,7 +19,7 @@
 // contribution report exactly and consume no noise at all. The
 // resulting estimators are unbiased with strictly smaller variance
 // than the conventional all-edge baseline, which noises every user's
-// report regardless of visibility; package riskbench's -ldp mode
+// report regardless of visibility; riskbench's ldp mode
 // measures the gap across ε.
 //
 // Five statistic families are estimated, mirroring the aggregate
@@ -139,7 +139,7 @@ func (p Params) mode() Mode {
 // Params gets common random numbers: the shared users draw the same
 // standardized noise in both releases. That is a feature for paired
 // benchmarking against ground truth the caller already holds
-// (riskbench -ldp) and a privacy hazard everywhere else — two
+// (riskbench -mode ldp) and a privacy hazard everywhere else — two
 // released values T + G/ε₁ and T + G/ε₂ with shared G solve exactly
 // for the private T. Production releases must therefore derive seeds
 // with SeedFor, which folds the parameters in.

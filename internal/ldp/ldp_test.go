@@ -339,7 +339,7 @@ func TestUnbiasedness(t *testing.T) {
 // TestVisibilityAwareBeatsAllEdge measures per-statistic RMS relative
 // error over many epochs and requires the visibility-aware release
 // strictly more accurate than the all-edge baseline on every
-// statistic — the package's headline claim, which riskbench -ldp
+// statistic — the package's headline claim, which riskbench -mode ldp
 // re-verifies across the full ε sweep.
 func TestVisibilityAwareBeatsAllEdge(t *testing.T) {
 	study, snap := studyFixture(t, 250, 13)

@@ -146,42 +146,6 @@ func TestAsFallible(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappers: the thin pre-redesign entry points still work
-// and agree with the unified EstimateRisk.
-func TestDeprecatedWrappers(t *testing.T) {
-	net, owner := demoNetwork(t, 4, 40)
-	ann := AnnotatorFunc(func(s UserID) Label {
-		if net.Attribute(s, AttrGender) == "male" {
-			return Risky
-		}
-		return NotRisky
-	})
-	want, err := EstimateRisk(context.Background(), net, owner, ann, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	infal, err := EstimateRiskInfallible(net, owner, ann, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diffReports(t, want, infal); d != "" {
-		t.Fatalf("EstimateRiskInfallible differs: %s", d)
-	}
-	viaCtx, err := EstimateRiskContext(context.Background(), net, owner, Infallible(ann), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diffReports(t, want, viaCtx); d != "" {
-		t.Fatalf("EstimateRiskContext differs: %s", d)
-	}
-	if _, err := EstimateRiskContext(context.Background(), net, owner, nil, DefaultOptions()); err == nil {
-		t.Error("EstimateRiskContext accepted nil annotator")
-	}
-	if _, err := EstimateRiskInfallible(net, owner, nil, DefaultOptions()); err == nil {
-		t.Error("EstimateRiskInfallible accepted nil annotator")
-	}
-}
-
 // TestEstimateRiskRejectsInvalidOptions: validation errors surface
 // before any work happens, and carry the errors.Join structure.
 func TestEstimateRiskRejectsInvalidOptions(t *testing.T) {

@@ -767,31 +767,6 @@ func AssembleReport(run *core.OwnerRun) *Report {
 	return rep
 }
 
-// EstimateRiskContext runs the pipeline with a fallible annotator.
-//
-// Deprecated: EstimateRisk is now context-first and accepts both
-// annotator contracts directly; call it instead.
-func EstimateRiskContext(ctx context.Context, n *Network, owner UserID, ann FallibleAnnotator, opts Options) (*Report, error) {
-	if ann == nil {
-		// Preserve the historical error rather than AsFallible's
-		// nil-interface message.
-		return nil, fmt.Errorf("sight: annotator must not be nil")
-	}
-	return EstimateRisk(ctx, n, owner, ann, opts)
-}
-
-// EstimateRiskInfallible runs the pipeline with an infallible
-// annotator and a background context — the signature EstimateRisk had
-// before it became context-first.
-//
-// Deprecated: call EstimateRisk with a context.
-func EstimateRiskInfallible(n *Network, owner UserID, ann Annotator, opts Options) (*Report, error) {
-	if ann == nil {
-		return nil, fmt.Errorf("sight: annotator must not be nil")
-	}
-	return EstimateRisk(context.Background(), n, owner, ann, opts)
-}
-
 // annotatorBridge adapts the public Annotator to the internal one.
 type annotatorBridge struct{ a Annotator }
 
